@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dcrab import DcrabConfig
@@ -35,26 +36,44 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+# CLI flag -> DcrabConfig field; unset flags fall back to the config file,
+# then to the DcrabConfig defaults
+_DCRAB_FLAGS = {
+    "components": "n_components",
+    "superiterations": "superiterations",
+    "max_evals": "max_evals_per_superiteration",
+    "target": "target_fidelity",
+    "seed": "seed",
+    "samples": "n_t",
+}
+
+
 def _add_dcrab_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--superiterations", type=int, default=6)
-    parser.add_argument("--components", type=int, default=1)
-    parser.add_argument("--max-evals", type=int, default=40, help="per super-iteration")
-    parser.add_argument("--target", type=float, default=0.99)
-    parser.add_argument("--samples", type=int, default=1000, help="waveform samples")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--superiterations", type=int)
+    parser.add_argument("--components", type=int)
+    parser.add_argument("--max-evals", type=int, help="per super-iteration")
+    parser.add_argument("--target", type=float)
+    parser.add_argument("--samples", type=int, help="waveform samples")
 
 
-def _dcrab_config(args, overrides: dict) -> DcrabConfig:
-    merged = {
-        "n_components": args.components,
-        "superiterations": args.superiterations,
-        "max_evals_per_superiteration": args.max_evals,
-        "target_fidelity": args.target,
-        "seed": args.seed,
-        "n_t": args.samples,
-    }
-    merged.update(overrides.get("dcrab", {}))
+def _dcrab_config(args, file_values: dict | None = None) -> DcrabConfig:
+    merged = dict(file_values or {})
+    for flag, name in _DCRAB_FLAGS.items():
+        if getattr(args, flag) is not None:
+            merged[name] = getattr(args, flag)
     return DcrabConfig(**merged)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# Accepted config-file sections and keys, each with its parser
+_FILE_KEYS = {
+    "dcrab": {f.name: type(f.default) for f in fields(DcrabConfig)},
+    "scan": {"t_rels": _floats, "det_rels": _floats, "runs": int, "master_seed": int},
+}
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -64,37 +83,17 @@ def _read_config_file(path: str | None) -> dict:
     if not parser.read(path):
         raise ContractError(f"cannot read config file {path}")
     out: dict = {}
-    if parser.has_section("dcrab"):
-        sec = parser["dcrab"]
-        out["dcrab"] = {}
-        for key, cast in [
-            ("n_components", int),
-            ("superiterations", int),
-            ("max_evals_per_superiteration", int),
-            ("target_fidelity", float),
-            ("simplex_tol", float),
-            ("coefficient_scale", float),
-            ("seed", int),
-            ("n_t", int),
-        ]:
-            if key in sec:
-                out["dcrab"][key] = cast(sec[key])
-    if parser.has_section("scan"):
-        sec = parser["scan"]
-        out["scan"] = {}
-        if "t_rels" in sec:
-            out["scan"]["t_rels"] = tuple(float(v) for v in sec["t_rels"].split(","))
-        if "det_rels" in sec:
-            out["scan"]["det_rels"] = tuple(float(v) for v in sec["det_rels"].split(","))
-        if "runs" in sec:
-            out["scan"]["runs"] = int(sec["runs"])
-        if "master_seed" in sec:
-            out["scan"]["master_seed"] = int(sec["master_seed"])
-    if parser.has_section("plant"):
-        sec = parser["plant"]
-        out["plant"] = {k: float(sec[k]) for k in sec}
-    if parser.has_section("output"):
-        out["output"] = dict(parser["output"])
+    for section in parser.sections():
+        if section not in _FILE_KEYS:
+            raise ContractError(f"unknown config section [{section}] in {path}")
+        out[section] = {}
+        for key, text in parser[section].items():
+            if key not in _FILE_KEYS[section]:
+                raise ContractError(f"unknown key {key!r} in [{section}] of {path}")
+            try:
+                out[section][key] = _FILE_KEYS[section][key](text)
+            except ValueError as err:
+                raise ContractError(f"bad value for {key!r} in [{section}]: {err}") from err
     return out
 
 
@@ -145,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_invert(args) -> int:
-    config = _dcrab_config(args, {})
+    config = _dcrab_config(args)
     result = run_state_transfer_demo(
         config,
         det_rel=args.detuning_rel,
@@ -163,7 +162,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    config = _dcrab_config(args, {})
+    config = _dcrab_config(args)
     result, _chi = run_gate_demo(
         config,
         det_rel=args.detuning_rel,
@@ -181,14 +180,18 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    overrides = _read_config_file(args.config)
-    config = _dcrab_config(args, overrides)
-    scan_kwargs = dict(overrides.get("scan", {}))
+    file_values = _read_config_file(args.config)
+    config = _dcrab_config(args, file_values.get("dcrab"))
+    scan_kwargs = {
+        "t_rels": DEFAULT_T_REL_GRID,
+        "det_rels": DEFAULT_DET_REL_GRID,
+        "master_seed": config.seed,
+        **file_values.get("scan", {}),
+    }
     if args.runs is not None:
         scan_kwargs["runs"] = args.runs
-    scan_kwargs.setdefault("t_rels", DEFAULT_T_REL_GRID)
-    scan_kwargs.setdefault("det_rels", DEFAULT_DET_REL_GRID)
-    scan_kwargs.setdefault("master_seed", args.seed)
+    if args.seed is not None:
+        scan_kwargs["master_seed"] = args.seed
     spec = ScanSpec(base_config=config, **scan_kwargs)
     result = run_scan(spec, workers=args.workers, out_dir=args.out)
     print(f"scan of {len(spec.t_rels)}x{len(spec.det_rels)} cells, {spec.runs} runs each")
@@ -197,14 +200,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _dcrab_config(args, {})
+    config = _dcrab_config(args)
     rows = run_openloop_comparison(
         args.scan,
         amplitude_scale=args.amp_scale,
         detuning_offset_rel=args.detuning_offset_rel,
         config=config,
         runs=args.runs,
-        master_seed=args.seed,
+        master_seed=config.seed,
         out_path=args.out,
     )
     for row in rows:

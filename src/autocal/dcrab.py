@@ -373,7 +373,7 @@ def run_dcrab(
             estimate = fom(plant, pulse)
         except FitFailure as err:
             log.warning("evaluation failed (%s); scoring 0", err)
-            estimate = FidelityEstimate(0.0, 0.0, 0)
+            estimate = FidelityEstimate(0.0, 0.0)
         if estimate.value > best_value:
             best_value = estimate.value
             best_estimate = estimate
@@ -443,4 +443,4 @@ def evaluate_pulse_open_loop(
         value = float(np.mean(probs))
     else:
         raise ContractError(f"unknown figure-of-merit kind {fom!r}")
-    return FidelityEstimate(value=value, sigma=0.0, evaluations=0)
+    return FidelityEstimate(value=value, sigma=0.0)

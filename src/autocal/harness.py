@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +171,7 @@ def run_state_transfer_demo(
             noisy=noisy,
             shots=shots,
             rabi_frequency=params.rabi_frequency,
-            dcrab=vars(config).copy() if hasattr(config, "__dict__") else config.__dict__,
+            dcrab=asdict(config),
             plant_seed=plant.config.seed,
         )
     return result
@@ -219,7 +219,7 @@ def run_gate_demo(
             noisy=noisy,
             shots=shots,
             rabi_frequency=params.rabi_frequency,
-            dcrab=config.__dict__,
+            dcrab=asdict(config),
             plant_seed=plant.config.seed,
         )
     return result, chi
@@ -265,7 +265,7 @@ class ScanResult:
             for i, t in enumerate(self.t_rels):
                 for j, d in enumerate(self.det_rels):
                     writer.writerow(
-                        [t, d, repr(self.mean[i, j]), repr(self.std[i, j]), repr(self.best[i, j])]
+                        [t, d] + [repr(float(m[i, j])) for m in (self.mean, self.std, self.best)]
                     )
 
 
@@ -288,7 +288,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     Per-run seeds derive from (master seed, cell coordinates, run index), so
     results are independent of execution order and worker count.
     """
-    config_dict = dict(spec.base_config.__dict__)
+    config_dict = asdict(spec.base_config)
     config_dict.pop("seed", None)
     jobs = [
         (i, j, run, t_rel, det_rel, spec.rabi_frequency, spec.master_seed, config_dict)
@@ -399,7 +399,7 @@ def run_openloop_comparison(
                     seed=0,
                 ),
             )
-            cfg = DcrabConfig(**{**config.__dict__, "seed": derived_seed(master_seed, j, run)})
+            cfg = replace(config, seed=derived_seed(master_seed, j, run))
             closed_vals.append(run_dcrab(plant, "state-transfer", cfg).best_fidelity.value)
         rows.append(
             {

@@ -53,24 +53,14 @@ def pauli_rotation_propagator(hx: float, hy: float, hz: float, dt: float) -> np.
     _require_finite(hx, hy, hz, dt)
     if dt <= 0.0:
         raise ContractError("dt must be positive")
-    norm = math.sqrt(hx * hx + hy * hy + hz * hz)
-    half = 0.5 * norm * dt
-    # sin(half)/norm written via sinc so the zero-generator limit is exact
-    s = 0.5 * dt * np.sinc(half / math.pi)
-    c = math.cos(half)
-    return np.array(
-        [
-            [c - 1j * s * hz, -1j * s * hx - s * hy],
-            [-1j * s * hx + s * hy, c + 1j * s * hz],
-        ],
-        dtype=complex,
-    )
+    return _propagator_stack(np.array([hx]), np.array([hy]), np.array([hz]), dt)[0]
 
 
 def _propagator_stack(hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorised ``pauli_rotation_propagator`` over sample arrays; shape (n, 2, 2)."""
+    """``pauli_rotation_propagator`` over sample arrays, unchecked; shape (n, 2, 2)."""
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
     half = 0.5 * norm * dt
+    # sin(half)/norm written via sinc so the zero-generator limit is exact
     s = 0.5 * dt * np.sinc(half / math.pi)
     c = np.cos(half)
     u = np.empty((hx.size, 2, 2), dtype=complex)
@@ -161,18 +151,6 @@ class PulseWaveform:
     @staticmethod
     def zero(duration: float, n_t: int = 1000) -> "PulseWaveform":
         return PulseWaveform.constant(0.0, 0.0, duration, n_t)
-
-    @staticmethod
-    def clipped(x: np.ndarray, y: np.ndarray, duration: float) -> "PulseWaveform":
-        """Build a waveform, rescaling both channels at samples where |X+Y| > 1."""
-        x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
-        s = np.abs(x + y)
-        mask = s > 1.0
-        if np.any(mask):
-            x[mask] /= s[mask]
-            y[mask] /= s[mask]
-        return PulseWaveform(duration, x, y)
 
 
 def clip_amplitudes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,27 +258,19 @@ def evolve_density(rho0: DensityMatrix, pulse: PulseWaveform, params: PlantParam
     """
     if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
         raise ContractError("pulse duration does not match plant duration")
-    omega = TWO_PI * params.rabi_frequency
-    hx = omega * pulse.x
-    hy = omega * pulse.y
-    hz = np.full(pulse.n_t, TWO_PI * params.detuning)
-    u = total_propagator_arrays(hx, hy, hz, pulse.dt)
-    return apply_unitary(rho0, u)
-
-
-def total_propagator_arrays(hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float) -> np.ndarray:
-    """Time-ordered product of per-sample propagators."""
-    return _ordered_product(_propagator_stack(hx, hy, hz, dt))
+    return apply_unitary(rho0, total_propagator(pulse, params))
 
 
 def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
-    """Unitary implemented by ``pulse`` under the plant parameters."""
+    """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators."""
     omega = TWO_PI * params.rabi_frequency
-    return total_propagator_arrays(
-        omega * pulse.x,
-        omega * pulse.y,
-        np.full(pulse.n_t, TWO_PI * params.detuning),
-        pulse.dt,
+    return _ordered_product(
+        _propagator_stack(
+            omega * pulse.x,
+            omega * pulse.y,
+            np.full(pulse.n_t, TWO_PI * params.detuning),
+            pulse.dt,
+        )
     )
 
 

@@ -1,8 +1,8 @@
 """State and process reconstruction from plant measurements.
 
 The pipeline is: two orthogonal-axis Rabi scans -> least-squares fit of the
-oscillation model -> projection onto the nearest pure state (quadratic
-maximum likelihood over two rotation angles) -> fidelity or chi-matrix
+oscillation model -> projection onto the nearest pure state (the top
+eigenvector of the fitted matrix, in closed form) -> fidelity or chi-matrix
 figures of merit.
 """
 
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .plant import PlantInterface, PreparationIndex, default_rabi_times, run_rabi_scan
 from .qubit import (
@@ -53,7 +53,7 @@ class RabiFit:
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Pure-state MLE projection of a Rabi fit."""
+    """Pure-state projection of a Rabi fit."""
 
     rho: DensityMatrix
     xi: float
@@ -67,7 +67,6 @@ class FidelityEstimate:
 
     value: float
     sigma: float
-    evaluations: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
@@ -172,11 +171,7 @@ def fit_rabi(
 
 
 # ---------------------------------------------------------------------------
-# Pure-state MLE projection
-
-_GRID_XI = 360
-_GRID_NU = 180
-_grid_cache: tuple[np.ndarray, ...] | None = None
+# Pure-state projection
 
 
 def _pure_entries(xi, nu):
@@ -193,17 +188,6 @@ def _pure_entries(xi, nu):
     return p00, p01, p11
 
 
-def _mle_grid() -> tuple[np.ndarray, ...]:
-    global _grid_cache
-    if _grid_cache is None:
-        xi = np.linspace(0.0, TWO_PI, _GRID_XI, endpoint=False)
-        nu = np.linspace(0.0, math.pi, _GRID_NU, endpoint=False)
-        xi_g, nu_g = np.meshgrid(xi, nu, indexing="ij")
-        p00, p01, p11 = _pure_entries(xi_g.ravel(), nu_g.ravel())
-        _grid_cache = (xi_g.ravel(), nu_g.ravel(), p00, p01, p11)
-    return _grid_cache
-
-
 def _mle_residual(a, b, c, d, p00, p01, p11):
     return (
         (d - p00) ** 2
@@ -215,35 +199,26 @@ def _mle_residual(a, b, c, d, p00, p01, p11):
 def mle_project(fit: RabiFit) -> StateEstimate:
     """Nearest pure state to the fitted entries, with the per-entry error bar.
 
-    Minimises the summed squared entry deviation over (xi, nu) by a coarse
-    grid (argmin ties break to the lexicographically smallest point) plus
-    local simplex refinement; sigma = (1/4) sqrt(residual sum).
+    The residual is the squared Frobenius distance ||M - P||^2 between the
+    fitted matrix M and a pure state P, which equals ||M||^2 - 2 tr(M P) + 1;
+    it is smallest for the projector onto the top eigenvector of M (the
+    pure-state case of Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
+    That projector's Bloch vector is the unit vector along
+    r = (2b, -2c, d - a); r = 0 gives |0>.  The angles follow from
+    Bloch(xi, nu) = (cos xi sin nu, -sin xi, cos xi cos nu) with
+    xi in [0, 2 pi), nu in [0, pi); sigma = (1/4) sqrt(residual).
     """
-    xi_g, nu_g, p00, p01, p11 = _mle_grid()
-    res = _mle_residual(fit.a, fit.b, fit.c, fit.d, p00, p01, p11)
-    i0 = int(np.argmin(res))
-
-    def objective(angles):
-        p00_, p01_, p11_ = _pure_entries(angles[0], angles[1])
-        return _mle_residual(fit.a, fit.b, fit.c, fit.d, p00_, p01_, p11_)
-
-    refined = minimize(
-        objective,
-        np.array([xi_g[i0], nu_g[i0]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 600},
-    )
-    # strict improvement only, so grid ties keep the lexicographically
-    # smallest grid point (argmin returns the first, xi-major)
-    xi, nu = (refined.x if refined.fun < res[i0] else (xi_g[i0], nu_g[i0]))
-    residual = float(min(refined.fun, res[i0]))
-    p00_, p01_, p11_ = _pure_entries(xi, nu)
-    rho = DensityMatrix(
-        np.array([[p00_, p01_], [np.conj(p01_), p11_]], dtype=complex)
-    )
-    return StateEstimate(
-        rho=rho, xi=float(xi), nu=float(nu), sigma=0.25 * math.sqrt(max(residual, 0.0))
-    )
+    rx, ry, rz = 2.0 * fit.b, -2.0 * fit.c, fit.d - fit.a
+    if rx == ry == rz == 0.0:
+        xi = nu = 0.0
+    else:
+        nu = math.atan2(rx, rz) % math.pi
+        cos_xi = rx * math.sin(nu) + rz * math.cos(nu)
+        xi = math.atan2(-ry, cos_xi) % TWO_PI
+    p00, p01, p11 = _pure_entries(xi, nu)
+    residual = float(_mle_residual(fit.a, fit.b, fit.c, fit.d, p00, p01, p11))
+    rho = DensityMatrix(np.array([[p00, p01], [np.conj(p01), p11]], dtype=complex))
+    return StateEstimate(rho=rho, xi=xi, nu=nu, sigma=0.25 * math.sqrt(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +239,6 @@ def state_tomography(
     return mle_project(fit)
 
 
-def _tomography_cost(times_len: int) -> int:
-    return 2 * times_len
-
-
 def state_transfer_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
@@ -277,8 +248,7 @@ def state_transfer_fom(
     plant.prepare(PreparationIndex.PSI_1)
     plant.apply(pulse)
     est = state_tomography(plant, repetitions)
-    n = default_rabi_times(plant.nominal.rabi_frequency).size
-    return FidelityEstimate(value=est.rho.a, sigma=est.sigma, evaluations=_tomography_cost(n))
+    return FidelityEstimate(value=est.rho.a, sigma=est.sigma)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -305,8 +275,6 @@ def gate_fom(
     inverse = ideal.conj().T
     values = []
     sigmas = []
-    cost = 0
-    n = default_rabi_times(plant.nominal.rabi_frequency).size
     for idx in PreparationIndex:
         plant.prepare(idx)
         plant.apply(pulse)
@@ -315,10 +283,7 @@ def gate_fom(
         psi = idx.state_vector()
         values.append(float(np.real(psi.conj() @ est.rho.matrix @ psi)))
         sigmas.append(est.sigma)
-        cost += _tomography_cost(n)
-    return FidelityEstimate(
-        value=float(np.mean(values)), sigma=float(np.mean(sigmas)), evaluations=cost
-    )
+    return FidelityEstimate(value=float(np.mean(values)), sigma=float(np.mean(sigmas)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +389,3 @@ def process_tomography(
         finals.append(state_tomography(plant, repetitions).rho)
     return chi_from_final_states(finals)
 
-
-def state_estimate_to_json_dict(est: StateEstimate) -> dict:
-    m = est.rho.matrix
-    return {
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-        "xi": est.xi,
-        "nu": est.nu,
-        "sigma": est.sigma,
-    }

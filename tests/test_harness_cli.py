@@ -117,7 +117,10 @@ class TestScan:
         assert np.all(result.mean >= 0.0) and np.all(result.mean <= 1.0)
         assert np.all(result.std >= 0.0)
         assert np.all(result.failed == 0)
-        assert (tmp_path / "scan.csv").exists()
+        rows = (tmp_path / "scan.csv").read_text().splitlines()
+        assert rows[0] == "t_rel,det_rel,mean,std,best"
+        cells = [[float(v) for v in row.split(",")] for row in rows[1:]]
+        assert len(cells) == 4 and all(len(row) == 5 for row in cells)
         assert (tmp_path / "manifest.json").exists()
         assert (tmp_path / "pulse_t1.5_d0.csv").exists()
 
@@ -204,6 +207,48 @@ class TestCli:
         assert code == 0
         assert (out / "scan.csv").exists()
         assert "2x1 cells" in capsys.readouterr().out
+
+    def test_cli_flags_override_config_file(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            "[dcrab]\nsuperiterations = 1\nmax_evals_per_superiteration = 12\nn_t = 200\n"
+            "[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\nmaster_seed = 1\n"
+        )
+        out = tmp_path / "scan"
+        code = main(
+            ["scan", "--config", str(cfg), "--seed", "5", "--superiterations", "2", "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == 5
+        assert manifest["dcrab"]["seed"] == 5
+        assert manifest["dcrab"]["superiterations"] == 2
+        # file values still beat the defaults
+        assert manifest["dcrab"]["max_evals_per_superiteration"] == 12
+        assert manifest["dcrab"]["n_t"] == 200
+        assert manifest["runs"] == 1
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("plant", "detuning = 0.5"),
+            ("output", "dir = elsewhere"),
+            ("scan", "workers = 2"),
+            ("dcrab", "superiteration = 2"),
+            ("dcrab", "target_fidelity = high"),
+        ],
+        ids=["plant-section", "output-section", "unknown-scan-key", "unknown-dcrab-key", "bad-value"],
+    )
+    def test_config_file_errors_exit_2(self, tmp_path, section, line):
+        sections = {
+            "dcrab": ["superiterations = 1", "max_evals_per_superiteration = 12", "n_t = 200"],
+            "scan": ["t_rels = 1.5", "det_rels = 0.0", "runs = 1"],
+        }
+        sections[section] = sections.get(section, []) + [line]
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in sections.items()))
+        code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan")])
+        assert code == 2
 
     def test_compare_openloop_flow(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"

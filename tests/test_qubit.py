@@ -10,6 +10,7 @@ from autocal.qubit import (
     PlantParams,
     PulseWaveform,
     SIGMA_X,
+    clip_amplitudes,
     evolve_density,
     generalized_rabi_population,
     pauli_rotation_propagator,
@@ -99,10 +100,10 @@ class TestPulseWaveform:
         with pytest.raises(ContractError):
             PulseWaveform(1.0, np.full(10, 0.8), np.full(10, 0.8))
 
-    def test_clipped_rescales_only_violating_samples(self):
+    def test_clip_amplitudes_rescales_only_violating_samples(self):
         x = np.array([0.3, 2.0, 0.5, -1.5])
         y = np.array([0.2, 1.0, 0.4, -1.5])
-        pulse = PulseWaveform.clipped(x, y, 1.0)
+        pulse = PulseWaveform(1.0, *clip_amplitudes(x, y))
         assert np.max(np.abs(pulse.x + pulse.y)) <= 1.0 + 1e-12
         assert pulse.x[0] == pytest.approx(0.3)  # untouched sample
         assert pulse.x[1] / pulse.y[1] == pytest.approx(2.0)  # ratio preserved

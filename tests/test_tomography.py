@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import (
@@ -28,6 +29,7 @@ from autocal.tomography import (
     process_tomography,
     state_tomography,
     state_transfer_fom,
+    _pure_entries,
 )
 
 OMEGA = 1.0
@@ -180,6 +182,33 @@ class TestMleProject:
             returned = (4.0 * est.sigma) ** 2
             brute = float(np.min(_mle_residual(a, b, c, 1 - a, p00, p01, p11)))
             assert returned <= brute + 1e-6
+
+
+class TestClosedFormProjection:
+    @given(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_pure_state_is_a_fixed_point(self, xi, nu):
+        p00, p01, p11 = _pure_entries(xi, nu)
+        fit = RabiFit(
+            a=float(p11), b=float(p01.real), c=float(p01.imag), d=float(p00), omega=1.0, residual=0.0
+        )
+        est = mle_project(fit)
+        expected = np.array([[p00, p01], [np.conj(p01), p11]])
+        assert np.max(np.abs(est.rho.matrix - expected)) <= 1e-12
+        assert est.sigma <= 1e-9
+
+    @given(
+        st.floats(-0.2, 1.2), st.floats(-0.7, 0.7), st.floats(-0.7, 0.7), st.floats(-0.2, 1.2)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_residual_is_frobenius_minus_top_eigenvalue(self, a, b, c, d):
+        # ||M - P||^2 = ||M||^2 - 2 tr(M P) + 1 is smallest at tr(M P) = lambda_max
+        assume(abs(a + d - 1.0) > 1e-6)
+        m = np.array([[d, b + 1j * c], [b - 1j * c, a]])
+        lam_max = np.linalg.eigvalsh(m)[-1]
+        est = mle_project(RabiFit(a=a, b=b, c=c, d=d, omega=1.0, residual=0.0))
+        expected = np.sum(np.abs(m) ** 2) - 2.0 * lam_max + 1.0
+        assert (4.0 * est.sigma) ** 2 == pytest.approx(expected, abs=1e-12)
 
 
 class TestStateTomography:
