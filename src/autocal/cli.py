@@ -16,6 +16,7 @@ from pathlib import Path
 from .dcrab import DcrabConfig
 from .harness import (
     DEFAULT_DET_REL_GRID,
+    DEFAULT_RABI_FREQUENCY,
     DEFAULT_T_REL_GRID,
     ScanSpec,
     load_pulse_csv,
@@ -24,12 +25,12 @@ from .harness import (
     run_openloop_comparison,
     run_scan,
     run_state_transfer_demo,
-    write_chi_json,
+    write_chi_report,
     write_manifest,
 )
 from .plant import SimPlant, SimPlantConfig
-from .qubit import ContractError, GATE_G
-from .tomography import analytic_chi_of_unitary, chi_construction_discrepancy, process_tomography
+from .qubit import ContractError
+from .tomography import process_tomography
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,7 +222,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_qpt(args) -> int:
     pulse = load_pulse_csv(args.pulse)
-    rabi = 1.0
+    rabi = DEFAULT_RABI_FREQUENCY
     t_rel = pulse.duration * 2.0 * rabi
     params = params_from_relative(t_rel, args.detuning_rel, rabi)
     plant = SimPlant(
@@ -229,14 +230,7 @@ def _cmd_qpt(args) -> int:
         SimPlantConfig(noiseless=not args.noise, repetitions=args.shots, seed=args.seed),
     )
     chi = process_tomography(plant, pulse)
-    write_chi_json(
-        chi,
-        args.out,
-        extra={
-            "ideal_chi": analytic_chi_of_unitary(GATE_G).to_json_dict(),
-            "published_formula_identity_deviation": chi_construction_discrepancy(),
-        },
-    )
+    write_chi_report(chi, args.out)
     write_manifest(
         Path(str(args.out) + ".manifest.json"),
         command="qpt",

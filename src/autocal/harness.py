@@ -23,14 +23,14 @@ from .dcrab import (
     run_dcrab,
 )
 from .plant import SimPlant, SimPlantConfig
-from .qubit import ContractError, PlantParams, PulseWaveform
+from .qubit import GATE_G, ContractError, PlantParams, PulseWaveform
 from .tomography import (
     ChiMatrix,
+    FitFailure,
     analytic_chi_of_unitary,
     chi_construction_discrepancy,
     process_tomography,
 )
-from .qubit import GATE_G
 
 DEFAULT_RABI_FREQUENCY = 1.0  # MHz; dynamics depend only on the relative quantities
 
@@ -134,6 +134,15 @@ def write_chi_json(chi: ChiMatrix, path: Path | str, extra: dict | None = None) 
         json.dump(payload, fh, indent=2)
 
 
+def write_chi_report(chi: ChiMatrix, path: Path | str) -> None:
+    """Measured chi beside the ideal G gate's chi and the published formula's deviation."""
+    extra = {
+        "ideal_chi": analytic_chi_of_unitary(GATE_G).to_json_dict(),
+        "published_formula_identity_deviation": chi_construction_discrepancy(),
+    }
+    write_chi_json(chi, path, extra)
+
+
 # ---------------------------------------------------------------------------
 # Demo runs
 
@@ -203,14 +212,7 @@ def run_gate_demo(
         write_trace_jsonl(result, out / "trace.jsonl")
         write_summary_json(result, out / "summary.json")
         save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
-        write_chi_json(
-            chi,
-            out / "chi.json",
-            extra={
-                "ideal_chi": analytic_chi_of_unitary(GATE_G).to_json_dict(),
-                "published_formula_identity_deviation": chi_construction_discrepancy(),
-            },
-        )
+        write_chi_report(chi, out / "chi.json")
         write_manifest(
             out / "manifest.json",
             command="gate",
@@ -276,7 +278,7 @@ def _scan_run(args) -> tuple[int, int, int, float, float, np.ndarray, np.ndarray
     plant = SimPlant(params, SimPlantConfig(noiseless=True, seed=0))
     try:
         result = run_dcrab(plant, "state-transfer", config)
-    except Exception:  # individual failures score 0, flagged in aggregation
+    except (FitFailure, ContractError):  # score 0, counted in ``failed``
         return (i, j, run, 0.0, math.nan, np.array([]), np.array([]))
     pulse = result.best_pulse
     return (i, j, run, result.best_fidelity.value, pulse.duration, pulse.x, pulse.y)

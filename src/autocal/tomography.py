@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .plant import PlantInterface, PreparationIndex, default_rabi_times, run_rabi_scan
 from .qubit import (
@@ -98,28 +97,35 @@ class ChiMatrix:
 # ---------------------------------------------------------------------------
 # Rabi fitting
 
-_RESIDUAL_THRESHOLD = 0.15  # rms; noiseless fits sit at ~1e-12, 1e4 shots at ~5e-3
+_RESIDUAL_THRESHOLD = 0.15  # rms; noiseless fits sit below 1e-13, 1e4 shots at ~5e-3
+_COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency
+_REFINE_POINTS = 11  # odd: each re-grid evaluates its centre again, so the SSE never rises
+_REFINE_ROUNDS = 16  # 5-fold shrink per round: final bracket 2 / 120 / 5**16 ~ 1e-13 of range
+_REFINE_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 
 
-def _fit_at_omega(
-    omega: float, times: np.ndarray, x_curve: np.ndarray, y_curve: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Linear LSQ of (s, q, c, b) at fixed frequency; returns params and SSE."""
-    theta = TWO_PI * omega * times
+def _fit_at(
+    omegas: np.ndarray, times: np.ndarray, x_curve: np.ndarray, y_curve: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear LSQ of (s, q, c, b) at each frequency; returns params (k, 4) and SSE (k,).
+
+    One batched 4x4 normal-equation solve.  The SSE sums the residual itself:
+    ||y||^2 - p.A^T y cancels catastrophically near an exact fit.
+    """
+    theta = np.multiply.outer(TWO_PI * omegas, times)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
     n = times.size
-    design = np.zeros((2 * n, 4))
-    design[:n, 0] = 1.0
-    design[:n, 1] = cos_t
-    design[:n, 2] = -sin_t
-    design[n:, 0] = 1.0
-    design[n:, 1] = cos_t
-    design[n:, 3] = sin_t
+    design = np.zeros((omegas.size, 2 * n, 4))
+    design[..., 0] = 1.0
+    design[..., 1] = np.hstack([cos_t, cos_t])
+    design[:, :n, 2] = -sin_t
+    design[:, n:, 3] = sin_t
     target = np.concatenate([x_curve, y_curve])
-    params, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    sse = float(np.sum((design @ params - target) ** 2))
-    return params, sse
+    design_t = design.transpose(0, 2, 1)
+    params = np.linalg.solve(design_t @ design, (design_t @ target)[..., None])
+    sse = np.sum(((design @ params)[..., 0] - target) ** 2, axis=1)
+    return params[..., 0], sse
 
 
 def fit_rabi(
@@ -135,8 +141,11 @@ def fit_rabi(
         x axis:  P(t) = (d+a)/2 + (d-a)/2 cos(2 pi w t) - c sin(2 pi w t)
         y axis:  P(t) = (d+a)/2 + (d-a)/2 cos(2 pi w t) + b sin(2 pi w t)
 
-    The model is linear given w, so w is found by a coarse grid over
-    [0.5, 1.5] * rabi_frequency followed by bounded scalar refinement.
+    The model is linear given w (separable least squares; Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413, 1973), so ``_fit_at`` solves it for many w
+    at once.  w is the best point of a grid over [0.5, 1.5] * rabi_frequency,
+    re-gridded a fixed number of times on the +-1-step bracket around it
+    until the bracket is below 1e-12 * rabi_frequency.
     """
     times = np.asarray(times, dtype=float)
     x_curve = np.asarray(x_curve, dtype=float)
@@ -144,29 +153,21 @@ def fit_rabi(
     if times.size < 8 or x_curve.shape != times.shape or y_curve.shape != times.shape:
         raise ContractError("curves must share a time grid of >= 8 points")
 
-    grid = np.linspace(0.5 * rabi_frequency, 1.5 * rabi_frequency, 121)
-    sses = np.array([_fit_at_omega(w, times, x_curve, y_curve)[1] for w in grid])
-    i0 = int(np.argmin(sses))
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, grid.size - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda w: _fit_at_omega(w, times, x_curve, y_curve)[1],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        omega = float(res.x)
-        if _fit_at_omega(omega, times, x_curve, y_curve)[1] > sses[i0]:
-            omega = float(grid[i0])
-    else:
-        omega = float(grid[i0])
+    lo, hi = 0.5 * rabi_frequency, 1.5 * rabi_frequency
+    omegas = np.linspace(lo, hi, _COARSE_POINTS)
+    step = omegas[1] - omegas[0]
+    params, sses = _fit_at(omegas, times, x_curve, y_curve)
+    for _ in range(_REFINE_ROUNDS):
+        omegas = np.clip(omegas[np.argmin(sses)] + step * _REFINE_OFFSETS, lo, hi)
+        step *= _REFINE_OFFSETS[1] - _REFINE_OFFSETS[0]
+        params, sses = _fit_at(omegas, times, x_curve, y_curve)
 
-    params, sse = _fit_at_omega(omega, times, x_curve, y_curve)
-    s, q, c, b = params
-    rms = math.sqrt(sse / (2 * times.size))
+    best = int(np.argmin(sses))
+    s, q, c, b = params[best]
+    rms = math.sqrt(sses[best] / (2 * times.size))
     if rms > _RESIDUAL_THRESHOLD:
         raise FitFailure(rms)
+    omega = float(omegas[best])
     return RabiFit(a=float(s - q), b=float(b), c=float(c), d=float(s + q), omega=omega, residual=rms)
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autocal.harness
 from autocal.cli import main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
 from autocal.harness import (
@@ -17,6 +22,7 @@ from autocal.harness import (
     save_pulse_csv,
 )
 from autocal.qubit import ContractError, PulseWaveform
+from autocal.tomography import FitFailure
 
 FAST = dict(superiterations=2, max_evals_per_superiteration=12, n_t=200)
 
@@ -142,6 +148,24 @@ class TestScan:
         parallel = run_scan(self.SPEC, workers=2)
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.best, parallel.best)
+
+    @pytest.mark.parametrize("error", [ContractError("rejected"), FitFailure(0.5)])
+    def test_run_failure_counts_in_failed(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(autocal.harness, "run_dcrab", failing)
+        result = run_scan(self.SPEC, workers=1)
+        assert np.all(result.failed == self.SPEC.runs)
+        assert np.all(result.mean == 0.0)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a run")
+
+        monkeypatch.setattr(autocal.harness, "run_dcrab", broken)
+        with pytest.raises(TypeError, match="bug in a run"):
+            run_scan(self.SPEC, workers=1)
 
 
 class TestOpenLoopComparison:
@@ -293,3 +317,28 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_state_transfer_demo", boom)
         assert main(["invert"]) == 3
+
+
+def test_runtime_never_imports_scipy():
+    # numpy is the only runtime dependency: importing the package and CLI and
+    # running one figure-of-merit evaluation must not load scipy
+    code = """
+import sys
+import autocal, autocal.cli
+from autocal.plant import SimPlant, SimPlantConfig
+from autocal.qubit import PlantParams, PulseWaveform
+from autocal.tomography import state_transfer_fom
+plant = SimPlant(PlantParams(1.0, 0.0, 0.5), SimPlantConfig())
+state_transfer_fom(plant, PulseWaveform.constant(1.0, 0.0, 0.5))
+print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(autocal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -29,6 +29,7 @@ from autocal.tomography import (
     process_tomography,
     state_tomography,
     state_transfer_fom,
+    _fit_at,
     _pure_entries,
 )
 
@@ -133,6 +134,43 @@ class TestRabiFit:
         t = TIMES[:5]
         with pytest.raises(ContractError):
             fit_rabi(np.ones(5), np.ones(5), t, OMEGA)
+
+
+class TestBatchedFit:
+    @given(
+        st.lists(st.floats(0.5, 1.5), min_size=1, max_size=16),
+        st.lists(st.floats(0.0, 1.0), min_size=41, max_size=41),
+        st.lists(st.floats(0.0, 1.0), min_size=41, max_size=41),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_omega_lstsq(self, omegas, x_curve, y_curve):
+        x_curve, y_curve = np.array(x_curve), np.array(y_curve)
+        target = np.concatenate([x_curve, y_curve])
+        params, sses = _fit_at(np.array(omegas), TIMES, x_curve, y_curve)
+        for omega, p, sse in zip(omegas, params, sses):
+            # reference: one lstsq per frequency on the model's design matrix
+            theta = 2.0 * math.pi * omega * TIMES
+            zero, one = np.zeros_like(TIMES), np.ones_like(TIMES)
+            design = np.vstack(
+                [
+                    np.column_stack([one, np.cos(theta), -np.sin(theta), zero]),
+                    np.column_stack([one, np.cos(theta), zero, np.sin(theta)]),
+                ]
+            )
+            ref, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+            ref_sse = float(np.sum((design @ ref - target) ** 2))
+            assert np.max(np.abs(p - ref)) <= 1e-10
+            assert abs(sse - ref_sse) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.503, 0.77, 1.13])
+    def test_noiseless_off_grid_frequency_exact(self, omega):
+        # none of these lies on the coarse grid 0.5 + k / 120
+        truth = dict(a=0.2, b=0.24, c=-0.32, d=0.8)
+        x_curve, y_curve = model_curves(**truth, omega=omega * OMEGA)
+        fit = fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+        assert abs(fit.omega - omega * OMEGA) <= 1e-12
+        for name, value in truth.items():
+            assert abs(getattr(fit, name) - value) <= 1e-12
 
 
 class TestMleProject:
