@@ -405,7 +405,10 @@ def run_dcrab(
         if best_value >= config.target_fidelity:
             break
 
-    assert best_pulse is not None and best_estimate is not None
+    if best_pulse is None or best_estimate is None:
+        # FidelityEstimate clamps every value into [0, 1], so this means the
+        # optimizer returned without evaluating; a raise survives python -O
+        raise RuntimeError("no evaluation produced a figure of merit to keep")
     return OptimizationResult(
         best_pulse=best_pulse,
         best_fidelity=best_estimate,

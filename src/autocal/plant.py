@@ -2,7 +2,10 @@
 
 A plant exposes prepare / apply / measure plus the ideal tomography
 rotations.  Only the simulated implementation ships; the abstract base is
-the seam where a real-device client would plug in.
+the seam where a real-device client would plug in.  ``rabi_scan`` is the
+one concrete method of that seam: its default body drives a scan point by
+point through the abstract calls, and ``SimPlant`` overrides it with one
+vectorised pass that draws the same numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .qubit import (
     DensityMatrix,
     PlantParams,
     PulseWaveform,
+    _propagator_stack,
     apply_unitary,
     clip_amplitudes,
     evolve_density,
@@ -110,6 +114,24 @@ class PlantInterface(ABC):
     def set_state(self, rho: DensityMatrix) -> None:
         """Re-prepare a previously snapshotted state."""
 
+    def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
+        """P(|0>, t) after rotating the current state about ``axis`` for each of ``times``.
+
+        ``times`` is a validated grid (see ``run_rabi_scan``).  For each
+        duration the stored state is re-prepared, the resonant tomography
+        pulse applied, and the |0> population measured; the state is
+        restored afterwards.
+        """
+        initial = self.current_state()
+        out = np.empty(times.size)
+        for i, t in enumerate(times):
+            self.set_state(initial)
+            if t > 0.0:
+                self.apply_ideal_rotation(axis, float(t))
+            out[i] = self.measure_population("0", repetitions)
+        self.set_state(initial)
+        return out
+
 
 class SimPlant(PlantInterface):
     """Simulated two-level plant with configurable miscalibration and shot noise.
@@ -159,22 +181,37 @@ class SimPlant(PlantInterface):
 
     def apply_ideal_rotation(self, axis: str, duration: float) -> None:
         rho = self._require_state()
-        omega = TWO_PI * self._nominal.rabi_frequency
-        if axis == "x":
-            u = pauli_rotation_propagator(omega, 0.0, 0.0, duration)
-        elif axis == "y":
-            # the y tomography drive rotates about -y; this sign makes the
-            # observed oscillation match the +b sin(2 pi w t) fit model
-            u = pauli_rotation_propagator(0.0, -omega, 0.0, duration)
-        else:
-            raise ContractError(f"unknown rotation axis {axis!r}")
-        self._state = apply_unitary(rho, u)
+        hx, hy = self._rotation_rates(axis)
+        self._state = apply_unitary(rho, pauli_rotation_propagator(hx, hy, 0.0, duration))
 
     def apply_ideal_unitary(self, u: np.ndarray) -> None:
         self._state = apply_unitary(self._require_state(), u)
 
     def measure_population(self, which: str, repetitions: int | None = None) -> float:
-        p = population(self._require_state(), which)
+        return self._sample(population(self._require_state(), which), repetitions)
+
+    def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
+        """The default scan in one pass, with the same values and random draws."""
+        rho = self._require_state().matrix
+        hx, hy = self._rotation_rates(axis)
+        n = times.size
+        u = _propagator_stack(np.full(n, hx), np.full(n, hy), np.zeros(n), times)
+        p = (u @ rho @ u.conj().transpose(0, 2, 1))[:, 0, 0].real
+        return self._sample(np.clip(p, 0.0, 1.0), repetitions)
+
+    def _rotation_rates(self, axis: str) -> tuple[float, float]:
+        """(hx, hy) in rad/us of the resonant tomography drive about ``axis``."""
+        omega = TWO_PI * self._nominal.rabi_frequency
+        if axis == "x":
+            return omega, 0.0
+        if axis == "y":
+            # the y tomography drive rotates about -y; this sign makes the
+            # observed oscillation match the +b sin(2 pi w t) fit model
+            return 0.0, -omega
+        raise ContractError(f"unknown rotation axis {axis!r}")
+
+    def _sample(self, p: float | np.ndarray, repetitions: int | None) -> float | np.ndarray:
+        """``p`` itself when noiseless, else the mean of binomial shots at ``p``."""
         if self.config.noiseless:
             return p
         reps = self.config.repetitions if repetitions is None else repetitions
@@ -202,20 +239,17 @@ def run_rabi_scan(
 ) -> np.ndarray:
     """Sample P(|0>, t) after rotating the current state about ``axis``.
 
-    For each duration the stored state is re-prepared, the resonant constant
-    tomography pulse is applied, and the |0> population measured.
+    Checks the axis ('x' or 'y') and the time grid (non-empty, finite,
+    non-negative, strictly increasing) and hands the scan to
+    ``plant.rabi_scan``.
     """
+    if axis not in ("x", "y"):
+        raise ContractError(f"unknown rotation axis {axis!r}")
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ContractError("times must be non-empty")
+    if not np.all(np.isfinite(times)) or np.any(times < 0.0):
+        raise ContractError("times must be finite and non-negative")
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise ContractError("times must be strictly increasing")
-    initial = plant.current_state()
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        plant.set_state(initial)
-        if t > 0.0:
-            plant.apply_ideal_rotation(axis, float(t))
-        out[i] = plant.measure_population("0", repetitions)
-    plant.set_state(initial)
-    return out
+    return plant.rabi_scan(axis, times, repetitions)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import autocal.dcrab
 from autocal.dcrab import (
     BasisTerm,
     DcrabConfig,
     DcrabLedger,
+    NelderMeadResult,
     assemble_pulse,
     draw_basis,
     evaluate_pulse_open_loop,
@@ -211,6 +213,16 @@ class TestRunDcrab:
         result = self.run_once(seed=1, target_fidelity=0.8)
         assert result.best_fidelity.value >= 0.8
         assert result.n_evaluations < 6 * 40
+
+    def test_no_scored_evaluation_is_an_explicit_error(self, monkeypatch):
+        # an optimizer that returns without evaluating leaves no best pulse;
+        # the error must not depend on assert statements (python -O)
+        def no_evaluation(objective, x0, scale, max_evals, tol, target=None):
+            return NelderMeadResult(x0, -math.inf, [], 0)
+
+        monkeypatch.setattr(autocal.dcrab, "nelder_mead", no_evaluation)
+        with pytest.raises(RuntimeError, match="no evaluation"):
+            self.run_once(superiterations=1)
 
     def test_trap_escape_statistics(self):
         # synthetic landscape needing two distinct frequencies on X: one

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autocal.plant import (
+    PlantInterface,
     PreparationIndex,
     SimPlant,
     SimPlantConfig,
@@ -11,11 +13,52 @@ from autocal.plant import (
     run_rabi_scan,
 )
 from autocal.qubit import ContractError, PlantParams, PulseWaveform
+from autocal.tomography import state_transfer_fom
 
 
 def make_plant(**config_kwargs):
     params = PlantParams(1.0, 0.0, 0.75)
     return SimPlant(params, SimPlantConfig(**config_kwargs))
+
+
+class DelegatingPlant(PlantInterface):
+    """A device-style plant: implements only the abstract calls, by forwarding.
+
+    It does not override ``rabi_scan``, so scans take the default
+    point-by-point path, as they would on a real device.
+    """
+
+    def __init__(self, inner: SimPlant):
+        self.inner = inner
+
+    @property
+    def nominal(self):
+        return self.inner.nominal
+
+    def prepare(self, idx):
+        self.inner.prepare(idx)
+
+    def apply(self, pulse):
+        self.inner.apply(pulse)
+
+    def measure_population(self, which, repetitions=None):
+        return self.inner.measure_population(which, repetitions)
+
+    def apply_ideal_rotation(self, axis, duration):
+        self.inner.apply_ideal_rotation(axis, duration)
+
+    def apply_ideal_unitary(self, u):
+        self.inner.apply_ideal_unitary(u)
+
+    def current_state(self):
+        return self.inner.current_state()
+
+    def set_state(self, rho):
+        self.inner.set_state(rho)
+
+
+def make_delegating_plant(**config_kwargs):
+    return DelegatingPlant(make_plant(**config_kwargs))
 
 
 class TestPreparation:
@@ -174,11 +217,121 @@ class TestRabiScan:
         with pytest.raises(ContractError):
             run_rabi_scan(plant, "x", np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant])
+    @pytest.mark.parametrize(
+        "times",
+        [[math.nan], [0.0, math.nan], [0.1, math.inf], [-0.1, 0.2], [-0.5]],
+        ids=["nan", "nan-tail", "inf", "negative-head", "negative"],
+    )
+    def test_rejects_non_finite_or_negative_times(self, factory, times):
+        # checked before dispatch, so every rabi_scan sees the same contract
+        plant = factory(noiseless=False)
+        plant.prepare(PreparationIndex.PSI_4)
+        with pytest.raises(ContractError):
+            run_rabi_scan(plant, "x", np.array(times))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_zero_duration_is_exact_identity(self, axis):
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_1)
+        plant.apply(PulseWaveform.constant(0.3, 0.2, 0.75, 50))
+        p0 = plant.current_state().d
+        assert run_rabi_scan(plant, axis, np.array([0.0, 0.1]))[0] == p0
+
     def test_unknown_axis_rejected(self):
         plant = make_plant()
         plant.prepare(PreparationIndex.PSI_1)
         with pytest.raises(ContractError):
             run_rabi_scan(plant, "z", np.array([0.0, 0.1]))
+
+    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant])
+    def test_unknown_axis_rejected_on_zero_only_grid(self, factory):
+        # a grid of t = 0 alone never rotates, so the axis is checked up front
+        plant = factory()
+        plant.prepare(PreparationIndex.PSI_1)
+        with pytest.raises(ContractError):
+            run_rabi_scan(plant, "z", np.array([0.0]))
+
+    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant])
+    def test_scan_without_prepare_rejected(self, factory):
+        with pytest.raises(ContractError):
+            run_rabi_scan(factory(), "x", default_rabi_times(1.0))
+
+    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant])
+    def test_zero_repetitions_rejected_in_noisy_mode(self, factory):
+        plant = factory(noiseless=False)
+        plant.prepare(PreparationIndex.PSI_1)
+        with pytest.raises(ContractError):
+            run_rabi_scan(plant, "x", default_rabi_times(1.0), repetitions=0)
+
+
+class TestRabiScanSeam:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rabi_frequency=st.floats(0.2, 3.0),
+        detuning=st.floats(-2.0, 2.0),
+        duration=st.floats(0.1, 2.0),
+        n_t=st.integers(2, 40),
+        idx=st.sampled_from(list(PreparationIndex)),
+        axis=st.sampled_from(["x", "y"]),
+        noiseless=st.booleans(),
+        repetitions=st.one_of(st.none(), st.integers(1, 20_000)),
+        n_points=st.integers(1, 60),
+        uniform_grid=st.booleans(),
+    )
+    def test_vectorised_scan_matches_default_loop(
+        self, seed, rabi_frequency, detuning, duration, n_t, idx, axis,
+        noiseless, repetitions, n_points, uniform_grid,
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 0.5, n_t)
+        y = rng.uniform(-0.5, 0.5, n_t)
+        pulse = PulseWaveform(duration, x, y)
+        if uniform_grid:
+            times = default_rabi_times(rabi_frequency, n_points)
+        else:
+            times = np.unique(rng.uniform(0.0, 3.0, n_points))
+        config = SimPlantConfig(
+            detuning_offset=float(rng.uniform(-0.5, 0.5)),
+            amplitude_scale=float(rng.uniform(0.8, 1.2)),
+            noiseless=noiseless,
+            seed=seed,
+        )
+        params = PlantParams(rabi_frequency, detuning, duration)
+        fast, loop = SimPlant(params, config), SimPlant(params, config)
+        for plant in (fast, loop):
+            plant.prepare(idx)
+            plant.apply(pulse)
+        before = fast.current_state()
+        got = fast.rabi_scan(axis, times, repetitions)
+        want = PlantInterface.rabi_scan(loop, axis, times, repetitions)
+        assert np.array_equal(got, want)
+        assert fast._rng.bit_generator.state == loop._rng.bit_generator.state
+        assert fast.current_state() is before
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_default_scan_gives_same_fom_as_sim_plant(self, noiseless):
+        pulse = PulseWaveform.constant(0.9, 0.05, 0.75, 200)
+        sim = make_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
+        device = make_delegating_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
+        assert state_transfer_fom(device, pulse) == state_transfer_fom(sim, pulse)
+
+    def test_sim_plant_fom_bypasses_scalar_calls(self, monkeypatch):
+        # guards the vectorised scan: a state-transfer evaluation must not
+        # fall back to one rotation and one measurement per scan point
+        calls = {"apply_ideal_rotation": 0, "measure_population": 0}
+        for name in calls:
+            original = getattr(SimPlant, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SimPlant, name, counted)
+        plant = make_plant(noiseless=False, seed=3)
+        state_transfer_fom(plant, PulseWaveform.constant(1.0, 0.0, 0.75, 100))
+        assert calls == {"apply_ideal_rotation": 0, "measure_population": 0}
 
 
 def test_default_rabi_times_span():
