@@ -22,12 +22,13 @@ from .qubit import (
     DensityMatrix,
     PlantParams,
     PulseWaveform,
+    _check_duration,
     _propagator_stack,
     apply_unitary,
     clip_amplitudes,
-    evolve_density,
     pauli_rotation_propagator,
     population,
+    total_propagator,
     TWO_PI,
 )
 
@@ -153,6 +154,8 @@ class SimPlant(PlantInterface):
         )
         self._rng = np.random.default_rng(np.random.PCG64(self.config.seed))
         self._state: DensityMatrix | None = None
+        self._last_pulse: PulseWaveform | None = None
+        self._last_unitary: np.ndarray | None = None
 
     @property
     def nominal(self) -> PlantParams:
@@ -171,13 +174,23 @@ class SimPlant(PlantInterface):
         return self._state
 
     def apply(self, pulse: PulseWaveform) -> None:
+        """Evolve the state through the distorted ``pulse``.
+
+        The propagator of the last pulse object is kept, so tomographing
+        several preparations of one pulse propagates it once.  Identity is a
+        safe key because a ``PulseWaveform``'s channels are read-only copies.
+        """
         rho = self._require_state()
-        x, y = clip_amplitudes(
-            self.config.amplitude_scale * pulse.x,
-            self.config.amplitude_scale * pulse.y,
-        )
-        distorted = PulseWaveform(pulse.duration, x, y)
-        self._state = evolve_density(rho, distorted, self._true)
+        if self._last_pulse is not pulse:
+            _check_duration(pulse, self._true)
+            x, y = clip_amplitudes(
+                self.config.amplitude_scale * pulse.x,
+                self.config.amplitude_scale * pulse.y,
+            )
+            distorted = PulseWaveform(pulse.duration, x, y)
+            self._last_unitary = total_propagator(distorted, self._true)
+            self._last_pulse = pulse
+        self._state = apply_unitary(rho, self._last_unitary)
 
     def apply_ideal_rotation(self, axis: str, duration: float) -> None:
         rho = self._require_state()

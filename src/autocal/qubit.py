@@ -6,6 +6,12 @@ Basis index 0 is |m_s = 0>, index 1 is |m_s = -1>.  Spin operators are
 S = sigma / 2.  Frequencies are in MHz, times in microseconds, so a constant
 drive of amplitude 1 at Rabi frequency ``omega_rabi`` performs a population
 inversion in ``t_pi = 1 / (2 * omega_rabi)``.
+
+Every propagator is in SU(2), U = [[alpha, beta], [-beta*, alpha*]], so a
+pulse is propagated in this Cayley-Klein form: one (alpha, beta) pair per
+sample, composed elementwise (the hard-pulse product of Shinnar-Le Roux
+pulse design; Pauly et al., IEEE TMI 10, 53, 1991).  The 2x2 matrix is built
+only for the total.
 """
 
 from __future__ import annotations
@@ -56,31 +62,50 @@ def pauli_rotation_propagator(hx: float, hy: float, hz: float, dt: float) -> np.
     return _propagator_stack(np.array([hx]), np.array([hy]), np.array([hz]), dt)[0]
 
 
-def _propagator_stack(hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float) -> np.ndarray:
-    """``pauli_rotation_propagator`` over sample arrays, unchecked; shape (n, 2, 2)."""
+def _cayley_klein(
+    hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (alpha, beta) of ``pauli_rotation_propagator``, unchecked."""
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
     half = 0.5 * norm * dt
     # sin(half)/norm written via sinc so the zero-generator limit is exact
     s = 0.5 * dt * np.sinc(half / math.pi)
-    c = np.cos(half)
-    u = np.empty((hx.size, 2, 2), dtype=complex)
-    u[:, 0, 0] = c - 1j * s * hz
-    u[:, 0, 1] = -1j * s * hx - s * hy
-    u[:, 1, 0] = -1j * s * hx + s * hy
-    u[:, 1, 1] = c + 1j * s * hz
+    return np.cos(half) - 1j * s * hz, -1j * s * hx - s * hy
+
+
+def _su2(alpha, beta) -> np.ndarray:
+    """The matrices [[alpha, beta], [-beta*, alpha*]]; shape (..., 2, 2)."""
+    u = np.empty(np.shape(alpha) + (2, 2), dtype=complex)
+    u[..., 0, 0] = alpha
+    u[..., 0, 1] = beta
+    u[..., 1, 0] = -np.conj(beta)
+    u[..., 1, 1] = np.conj(alpha)
     return u
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[n-1] @ ... @ mats[1] @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        if n % 2:
-            head, mats = mats[:1], mats[1:]
-            mats = np.concatenate([head, np.matmul(mats[1::2], mats[0::2])])
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+def _propagator_stack(hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """``pauli_rotation_propagator`` over sample arrays, unchecked; shape (n, 2, 2)."""
+    return _su2(*_cayley_klein(hx, hy, hz, dt))
+
+
+def _ck_product(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:
+    """(alpha, beta) of U[n-1] ... U[1] U[0] by pairwise reduction.
+
+    Each round composes neighbours, later after earlier:
+    alpha = a2 a1 - b2 b1*, beta = a2 b1 + b2 a1*.  An odd count carries the
+    earliest factor to the next round unchanged.
+    """
+    while alpha.size > 1:
+        head = alpha.size % 2
+        a1, a2 = alpha[head::2], alpha[head + 1 :: 2]
+        b1, b2 = beta[head::2], beta[head + 1 :: 2]
+        pair_alpha = a2 * a1 - b2 * np.conj(b1)
+        pair_beta = a2 * b1 + b2 * np.conj(a1)
+        if head:
+            pair_alpha = np.concatenate([alpha[:1], pair_alpha])
+            pair_beta = np.concatenate([beta[:1], pair_beta])
+        alpha, beta = pair_alpha, pair_beta
+    return alpha[0], beta[0]
 
 
 @dataclass(frozen=True)
@@ -118,8 +143,11 @@ class PulseWaveform:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # private read-only copies: a pulse never changes after construction,
+        # so a plant may key cached work on the object itself
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.duration <= 0.0 or not math.isfinite(self.duration):
@@ -250,28 +278,32 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
+def _check_duration(pulse: PulseWaveform, params: PlantParams) -> None:
+    """Reject a pulse whose duration differs from the plant's."""
+    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
+        raise ContractError("pulse duration does not match plant duration")
+
+
 def evolve_density(rho0: DensityMatrix, pulse: PulseWaveform, params: PlantParams) -> DensityMatrix:
     """Evolve under H(t) = 2 pi [Delta Sz + Omega (X(t) Sx + Y(t) Sy)].
 
     Piecewise-constant propagators per waveform sample, multiplied in time
     order; exactly unitary by construction.
     """
-    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
-        raise ContractError("pulse duration does not match plant duration")
+    _check_duration(pulse, params)
     return apply_unitary(rho0, total_propagator(pulse, params))
 
 
 def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
     """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators."""
     omega = TWO_PI * params.rabi_frequency
-    return _ordered_product(
-        _propagator_stack(
-            omega * pulse.x,
-            omega * pulse.y,
-            np.full(pulse.n_t, TWO_PI * params.detuning),
-            pulse.dt,
-        )
+    alpha, beta = _cayley_klein(
+        omega * pulse.x,
+        omega * pulse.y,
+        np.full(pulse.n_t, TWO_PI * params.detuning),
+        pulse.dt,
     )
+    return _su2(*_ck_product(alpha, beta))
 
 
 def generalized_rabi_population(

@@ -8,6 +8,7 @@ figures of merit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ class RabiFit:
     d: float
     omega: float
     residual: float
+    #: the fitted omega lies on the edge of the searched range [0.5, 1.5] * Omega
+    at_edge: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,20 +101,12 @@ class ChiMatrix:
 # Rabi fitting
 
 _RESIDUAL_THRESHOLD = 0.15  # rms; noiseless fits sit below 1e-13, 1e4 shots at ~5e-3
-_COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency
-_REFINE_POINTS = 11  # odd: each re-grid evaluates its centre again, so the SSE never rises
-_REFINE_ROUNDS = 16  # 5-fold shrink per round: final bracket 2 / 120 / 5**16 ~ 1e-13 of range
-_REFINE_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+_COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency, built once per scan grid
+_REFINE_TOL = 1e-12  # final omega bracket, relative to rabi_frequency
 
 
-def _fit_at(
-    omegas: np.ndarray, times: np.ndarray, x_curve: np.ndarray, y_curve: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear LSQ of (s, q, c, b) at each frequency; returns params (k, 4) and SSE (k,).
-
-    One batched 4x4 normal-equation solve.  The SSE sums the residual itself:
-    ||y||^2 - p.A^T y cancels catastrophically near an exact fit.
-    """
+def _design(omegas: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrices (k, 2n, 4) of the (s, q, c, b) model, with cos and sin (k, n)."""
     theta = np.multiply.outer(TWO_PI * omegas, times)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
@@ -121,11 +116,100 @@ def _fit_at(
     design[..., 1] = np.hstack([cos_t, cos_t])
     design[:, :n, 2] = -sin_t
     design[:, n:, 3] = sin_t
-    target = np.concatenate([x_curve, y_curve])
+    return design, cos_t, sin_t
+
+
+def _varpro(
+    omegas: np.ndarray, times: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear LSQ of (s, q, c, b) at each frequency: params (k, 4), SSE (k,), dSSE/dw (k,).
+
+    One batched 4x4 normal-equation solve.  The SSE sums the residual itself:
+    ||y||^2 - p.A^T y cancels catastrophically near an exact fit.  Since
+    A^T r = 0 at the solution, the derivative of the reduced SSE is exactly
+    2 r^T (dA/dw) p (Golub & Pereyra 1973), with r = A p - y.
+    """
+    design, cos_t, sin_t = _design(omegas, times)
     design_t = design.transpose(0, 2, 1)
     params = np.linalg.solve(design_t @ design, (design_t @ target)[..., None])
-    sse = np.sum(((design @ params)[..., 0] - target) ** 2, axis=1)
-    return params[..., 0], sse
+    residual = (design @ params)[..., 0] - target
+    q, c, b = params[:, 1], params[:, 2], params[:, 3]  # (k, 1) each
+    ramp = -TWO_PI * times
+    slope_x = ramp * (q * sin_t + c * cos_t)
+    slope_y = ramp * (q * sin_t - b * cos_t)
+    grad = 2.0 * np.sum(residual * np.hstack([slope_x, slope_y]), axis=1)
+    return params[..., 0], np.sum(residual**2, axis=1), grad
+
+
+def _fit_at(
+    omegas: np.ndarray, times: np.ndarray, x_curve: np.ndarray, y_curve: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear LSQ of (s, q, c, b) at each frequency; returns params (k, 4) and SSE (k,)."""
+    params, sse, _ = _varpro(omegas, times, np.concatenate([x_curve, y_curve]))
+    return params, sse
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_grid(times_bytes: bytes, rabi_frequency: float) -> tuple[np.ndarray, ...]:
+    """Coarse omegas, their design matrices and pseudo-inverses (A^T A)^-1 A^T.
+
+    None depends on the data, so one scan grid builds them once.
+    """
+    omegas = np.linspace(0.5 * rabi_frequency, 1.5 * rabi_frequency, _COARSE_POINTS)
+    design = _design(omegas, np.frombuffer(times_bytes))[0]
+    design_t = design.transpose(0, 2, 1)
+    pinv = np.linalg.solve(design_t @ design, design_t)
+    for array in (omegas, design, pinv):
+        array.flags.writeable = False
+    return omegas, design, pinv
+
+
+def _bracketed_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> None:
+    """Brent's zero-in on ``f`` over [a, b], f(a) f(b) < 0, until the bracket is below ``xtol``.
+
+    Secant and inverse-quadratic steps, with bisection whenever they would
+    leave the bracket or shrink it too slowly, and steps of at least xtol / 2
+    so the bracket closes from both sides (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  ``f`` records what it visits.
+    """
+    tol = 0.5 * xtol
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if fb == 0.0:
+            return
+        if abs(m) <= tol:
+            # the minimum step may have left b up to tol from the zero: one
+            # secant point of the closed bracket lands next to it
+            f(b - fb * (c - b) / (fc - fb))
+            return
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 def fit_rabi(
@@ -141,11 +225,19 @@ def fit_rabi(
         x axis:  P(t) = (d+a)/2 + (d-a)/2 cos(2 pi w t) - c sin(2 pi w t)
         y axis:  P(t) = (d+a)/2 + (d-a)/2 cos(2 pi w t) + b sin(2 pi w t)
 
-    The model is linear given w (separable least squares; Golub & Pereyra,
-    SIAM J. Numer. Anal. 10, 413, 1973), so ``_fit_at`` solves it for many w
-    at once.  w is the best point of a grid over [0.5, 1.5] * rabi_frequency,
-    re-gridded a fixed number of times on the +-1-step bracket around it
-    until the bracket is below 1e-12 * rabi_frequency.
+    The model is linear given w (separable least squares, variable
+    projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  The
+    coarse step scores a 121-point grid over [0.5, 1.5] * rabi_frequency with
+    design matrices and pseudo-inverses cached per (times, rabi_frequency).
+    The refine finds the zero of the exact gradient of the reduced SSE on the
+    side of the best grid point where it changes sign from - to +, with
+    Brent's safeguarded secant iteration, until that bracket is below
+    1e-12 * rabi_frequency.  The lowest-SSE point visited is returned, so the
+    SSE never exceeds that of the best grid point.  Where the gradient does
+    not change sign next to the best grid point (the minimum lies outside
+    [0.5, 1.5] * rabi_frequency, or the SSE is flat), the lowest-SSE point
+    among that grid point and its neighbours is returned; ``at_edge`` flags a
+    fitted w on the edge of the range.
     """
     times = np.asarray(times, dtype=float)
     x_curve = np.asarray(x_curve, dtype=float)
@@ -153,22 +245,43 @@ def fit_rabi(
     if times.size < 8 or x_curve.shape != times.shape or y_curve.shape != times.shape:
         raise ContractError("curves must share a time grid of >= 8 points")
 
-    lo, hi = 0.5 * rabi_frequency, 1.5 * rabi_frequency
-    omegas = np.linspace(lo, hi, _COARSE_POINTS)
-    step = omegas[1] - omegas[0]
-    params, sses = _fit_at(omegas, times, x_curve, y_curve)
-    for _ in range(_REFINE_ROUNDS):
-        omegas = np.clip(omegas[np.argmin(sses)] + step * _REFINE_OFFSETS, lo, hi)
-        step *= _REFINE_OFFSETS[1] - _REFINE_OFFSETS[0]
-        params, sses = _fit_at(omegas, times, x_curve, y_curve)
+    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
+    target = np.concatenate([x_curve, y_curve])
+    params = pinv @ target
+    sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
+    k = int(np.argmin(sses))
+    visited = [(sses[k], omegas[k], params[k])]
 
-    best = int(np.argmin(sses))
-    s, q, c, b = params[best]
-    rms = math.sqrt(sses[best] / (2 * times.size))
+    def gradient(w: np.ndarray) -> np.ndarray:
+        p, sse, grad = _varpro(w, times, target)
+        visited.extend(zip(sse, w, p))
+        return grad
+
+    def scalar_gradient(w: float) -> float:
+        return gradient(np.array([w]))[0]
+
+    xtol = _REFINE_TOL * rabi_frequency
+    near = omegas[[max(k - 1, 0), k, min(k + 1, omegas.size - 1)]]
+    g_lo, g_k, g_hi = gradient(near)
+    if g_k > 0.0 > g_lo:
+        _bracketed_root(scalar_gradient, near[0], g_lo, near[1], g_k, xtol)
+    elif g_k < 0.0 < g_hi:
+        _bracketed_root(scalar_gradient, near[1], g_k, near[2], g_hi, xtol)
+
+    sse, omega, (s, q, c, b) = min(visited, key=lambda v: v[0])
+    rms = math.sqrt(sse / (2 * times.size))
     if rms > _RESIDUAL_THRESHOLD:
         raise FitFailure(rms)
-    omega = float(omegas[best])
-    return RabiFit(a=float(s - q), b=float(b), c=float(c), d=float(s + q), omega=omega, residual=rms)
+    omega = float(omega)
+    return RabiFit(
+        a=float(s - q),
+        b=float(b),
+        c=float(c),
+        d=float(s + q),
+        omega=omega,
+        residual=rms,
+        at_edge=bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +372,26 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _tomograph_preparations(
+    plant: PlantInterface,
+    pulse: PulseWaveform,
+    repetitions: int | None = None,
+    inverse: np.ndarray | None = None,
+) -> list[StateEstimate]:
+    """State estimates, ordered by ``PreparationIndex``, after ``pulse`` (then ``inverse``).
+
+    The same pulse object is applied each time, so ``SimPlant`` propagates it once.
+    """
+    estimates = []
+    for idx in PreparationIndex:
+        plant.prepare(idx)
+        plant.apply(pulse)
+        if inverse is not None:
+            plant.apply_ideal_unitary(inverse)
+        estimates.append(state_tomography(plant, repetitions))
+    return estimates
+
+
 def gate_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
@@ -272,19 +405,14 @@ def gate_fom(
     the tomographic reconstruction.  The error bar is the mean of the four
     per-state sigmas.
     """
-    ideal = _check_unitary(ideal_gate)
-    inverse = ideal.conj().T
+    inverse = _check_unitary(ideal_gate).conj().T
+    estimates = _tomograph_preparations(plant, pulse, repetitions, inverse)
     values = []
-    sigmas = []
-    for idx in PreparationIndex:
-        plant.prepare(idx)
-        plant.apply(pulse)
-        plant.apply_ideal_unitary(inverse)
-        est = state_tomography(plant, repetitions)
+    for idx, est in zip(PreparationIndex, estimates):
         psi = idx.state_vector()
         values.append(float(np.real(psi.conj() @ est.rho.matrix @ psi)))
-        sigmas.append(est.sigma)
-    return FidelityEstimate(value=float(np.mean(values)), sigma=float(np.mean(sigmas)))
+    sigma = float(np.mean([est.sigma for est in estimates]))
+    return FidelityEstimate(value=float(np.mean(values)), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +511,7 @@ def process_tomography(
     repetitions: int | None = None,
 ) -> ChiMatrix:
     """Full process tomography of ``pulse``: tomograph all four preparations."""
-    finals = []
-    for idx in PreparationIndex:
-        plant.prepare(idx)
-        plant.apply(pulse)
-        finals.append(state_tomography(plant, repetitions).rho)
-    return chi_from_final_states(finals)
+    return chi_from_final_states(
+        [est.rho for est in _tomograph_preparations(plant, pulse, repetitions)]
+    )
 

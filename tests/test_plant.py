@@ -132,6 +132,25 @@ class TestApply:
         with pytest.raises(ContractError):
             plant.apply(PulseWaveform.zero(0.75))
 
+    def test_duration_mismatch_rejected_on_every_apply(self):
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_1)
+        pulse = PulseWaveform.zero(0.5)
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                plant.apply(pulse)
+
+    def test_repeated_pulse_acts_on_each_new_state(self):
+        plant = make_plant()
+        pulse = PulseWaveform.constant(0.7, 0.2, 0.75, 300)
+        for idx in (PreparationIndex.PSI_1, PreparationIndex.PSI_4, PreparationIndex.PSI_1):
+            plant.prepare(idx)
+            plant.apply(pulse)
+            fresh = make_plant()
+            fresh.prepare(idx)
+            fresh.apply(PulseWaveform(pulse.duration, pulse.x, pulse.y))
+            assert np.array_equal(plant.current_state().matrix, fresh.current_state().matrix)
+
 
 class TestMeasurement:
     def test_noiseless_exact(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autocal.qubit import (
+    _propagator_stack,
     ContractError,
     DensityMatrix,
     PlantParams,
@@ -16,6 +17,7 @@ from autocal.qubit import (
     pauli_rotation_propagator,
     population,
     total_propagator,
+    TWO_PI,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -112,6 +114,21 @@ class TestPulseWaveform:
         with pytest.raises(ContractError):
             PulseWaveform(1.0, np.array([0.1]), np.array([0.0]))
 
+    def test_channels_are_read_only(self):
+        pulse = PulseWaveform.constant(0.3, 0.1, 1.0, 10)
+        with pytest.raises(ValueError):
+            pulse.x[0] = 0.9
+        with pytest.raises(ValueError):
+            pulse.y[:] = 0.0
+        assert np.all(pulse.x == 0.3) and np.all(pulse.y == 0.1)
+
+    def test_channels_are_copies_of_the_source(self):
+        x, y = np.full(10, 0.3), np.full(10, 0.1)
+        pulse = PulseWaveform(1.0, x, y)
+        x[:] = 5.0
+        y[0] = -5.0
+        assert np.all(pulse.x == 0.3) and np.all(pulse.y == 0.1)
+
 
 class TestEvolveDensity:
     def test_zero_pulse_on_resonance_is_identity(self):
@@ -181,6 +198,47 @@ class TestEvolveDensity:
         y = np.clip(rng.normal(0, 0.3, 1000), -0.5, 0.5)
         u = total_propagator(PulseWaveform(1.0, x, y), params)
         assert np.max(np.abs(u.conj().T @ u - I2)) < 1e-10
+
+
+def matmul_ordered_product(mats):
+    """Reference: the 2x2 matmul pairwise product mats[n-1] @ ... @ mats[0]."""
+    while mats.shape[0] > 1:
+        n = mats.shape[0]
+        if n % 2:
+            head, mats = mats[:1], mats[1:]
+            mats = np.concatenate([head, np.matmul(mats[1::2], mats[0::2])])
+        else:
+            mats = np.matmul(mats[1::2], mats[0::2])
+    return mats[0]
+
+
+class TestCayleyKleinProduct:
+    # at n_t = 20000 both products sit ~1.5e-13 from a long-double sequential
+    # product and are unitary only to ~3e-13, so the bound grows with n_t
+    @given(
+        n_t=st.one_of(st.integers(2, 20_000), st.sampled_from([2, 3, 4, 5, 19_999, 20_000])),
+        seed=st.integers(0, 2**32 - 1),
+        detuning=st.floats(-3.0, 3.0),
+        rabi_frequency=st.floats(0.1, 5.0),
+        duration=st.floats(0.05, 5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_matmul_product(self, n_t, seed, detuning, rabi_frequency, duration):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 0.5, n_t)
+        y = rng.uniform(-0.5, 0.5, n_t)
+        pulse = PulseWaveform(duration, x, y)
+        params = PlantParams(rabi_frequency, detuning, duration)
+        omega = TWO_PI * rabi_frequency
+        stack = _propagator_stack(
+            omega * x, omega * y, np.full(n_t, TWO_PI * detuning), pulse.dt
+        )
+        u = total_propagator(pulse, params)
+        bound = 1e-16 * n_t + 1e-14
+        assert np.max(np.abs(u - matmul_ordered_product(stack))) <= bound
+        alpha, beta = u[0]
+        assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= bound
+        assert u[1, 0] == -np.conj(beta) and u[1, 1] == np.conj(alpha)
 
 
 class TestPopulation:

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import autocal.qubit
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import (
     ContractError,
@@ -171,6 +173,84 @@ class TestBatchedFit:
         assert abs(fit.omega - omega * OMEGA) <= 1e-12
         for name, value in truth.items():
             assert abs(getattr(fit, name) - value) <= 1e-12
+
+
+class TestEdgeDiagnostic:
+    @pytest.mark.parametrize("omega, at_edge", [(0.45, True), (1.6, True), (1.13, False)])
+    def test_flags_frequency_on_range_edge(self, omega, at_edge):
+        x_curve, y_curve = model_curves(0.2, 0.24, -0.32, 0.8, omega=omega * OMEGA)
+        fit = fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+        assert fit.at_edge is at_edge
+        if at_edge:
+            assert fit.omega == pytest.approx(min(max(omega, 0.5), 1.5) * OMEGA, abs=1e-12)
+
+
+def nested_grid_fit_at(omegas, times, x_curve, y_curve):
+    """Reference: the batched normal-equation solve of the nested-grid fit."""
+    theta = np.multiply.outer(2.0 * math.pi * omegas, times)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    n = times.size
+    design = np.zeros((omegas.size, 2 * n, 4))
+    design[..., 0] = 1.0
+    design[..., 1] = np.hstack([cos_t, cos_t])
+    design[:, :n, 2] = -sin_t
+    design[:, n:, 3] = sin_t
+    target = np.concatenate([x_curve, y_curve])
+    design_t = design.transpose(0, 2, 1)
+    params = np.linalg.solve(design_t @ design, (design_t @ target)[..., None])
+    sse = np.sum(((design @ params)[..., 0] - target) ** 2, axis=1)
+    return params[..., 0], sse
+
+
+def nested_grid_fit(x_curve, y_curve, times, rabi_frequency):
+    """Reference: 121-point grid, then 16 re-grids of 11 points on the +-1-step bracket.
+
+    Returns the entries (a, b, c, d), omega and the SSE.
+    """
+    offsets = np.linspace(-1.0, 1.0, 11)
+    lo, hi = 0.5 * rabi_frequency, 1.5 * rabi_frequency
+    omegas = np.linspace(lo, hi, 121)
+    step = omegas[1] - omegas[0]
+    params, sses = nested_grid_fit_at(omegas, times, x_curve, y_curve)
+    for _ in range(16):
+        omegas = np.clip(omegas[np.argmin(sses)] + step * offsets, lo, hi)
+        step *= offsets[1] - offsets[0]
+        params, sses = nested_grid_fit_at(omegas, times, x_curve, y_curve)
+    best = int(np.argmin(sses))
+    s, q, c, b = params[best]
+    return np.array([s - q, b, c, s + q]), omegas[best], sses[best]
+
+
+class TestGradientRefine:
+    def test_agrees_with_nested_grid_fit(self):
+        # 1002 seeded fits: a third each noiseless on-grid omega, noiseless
+        # off-grid omega and 1e4-shot noise; noisy SSEs sit at the float
+        # floor, where |dSSE/dw| ~ 6e-8 at either optimum
+        rng = np.random.default_rng(2024)
+        grid = np.linspace(0.5, 1.5, 121)
+        for i in range(1002):
+            kind = i % 3
+            a = rng.uniform(0.0, 1.0)
+            d = 1.0 - a
+            radius = math.sqrt(a * d) * rng.uniform(0.0, 1.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            b, c = radius * math.cos(phi), radius * math.sin(phi)
+            omega = grid[rng.integers(0, 121)] if kind == 0 else rng.uniform(0.55, 1.45)
+            x_curve, y_curve = model_curves(a, b, c, d, omega=omega * OMEGA)
+            if kind == 2:
+                x_curve = rng.binomial(10_000, np.clip(x_curve, 0, 1)) / 10_000
+                y_curve = rng.binomial(10_000, np.clip(y_curve, 0, 1)) / 10_000
+            fit = fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+            entries = np.array([fit.a, fit.b, fit.c, fit.d])
+            if kind < 2:
+                assert abs(fit.omega - omega * OMEGA) <= 1e-12
+                assert np.max(np.abs(entries - [a, b, c, d])) <= 1e-12
+            else:
+                ref_entries, ref_omega, ref_sse = nested_grid_fit(x_curve, y_curve, TIMES, OMEGA)
+                assert fit.residual**2 * 2 * TIMES.size <= ref_sse * (1.0 + 1e-12)
+                assert abs(fit.omega - ref_omega) <= 1e-8
+                assert np.max(np.abs(entries - ref_entries)) <= 1e-8
 
 
 class TestMleProject:
@@ -437,3 +517,61 @@ class TestProcessTomography:
         chi = process_tomography(plant, exact_g_pulse(), repetitions=10_000).matrix
         analytic = analytic_chi_of_unitary(GATE_G).matrix
         assert np.max(np.abs(chi - analytic)) < 0.05
+
+
+def count_propagations(monkeypatch):
+    """Count ``total_propagator`` calls, wherever an autocal module holds it."""
+    original = autocal.qubit.total_propagator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "autocal" or name.startswith("autocal."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestPropagatorReuse:
+    def test_gate_fom_propagates_once(self, monkeypatch):
+        calls = count_propagations(monkeypatch)
+        gate_fom(make_plant(duration=0.25, noiseless=False, seed=5), exact_g_pulse(), GATE_G)
+        assert len(calls) == 1
+
+    def test_process_tomography_propagates_once(self, monkeypatch):
+        calls = count_propagations(monkeypatch)
+        process_tomography(make_plant(duration=0.25), exact_g_pulse())
+        assert len(calls) == 1
+
+    def test_equal_pulses_are_distinct_keys(self, monkeypatch):
+        calls = count_propagations(monkeypatch)
+        first = exact_g_pulse()
+        second = PulseWaveform(first.duration, first.x, first.y)
+        plant = make_plant(duration=0.25)
+        for pulse in (first, second):
+            plant.prepare(PreparationIndex.PSI_1)
+            plant.apply(pulse)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_reuse_changes_no_value_or_draw(self, noiseless):
+        rng = np.random.default_rng(8)
+        pulse = PulseWaveform(0.25, rng.uniform(-0.5, 0.5, 500), rng.uniform(-0.5, 0.5, 500))
+        params = PlantParams(OMEGA, 0.3, 0.25)
+        config = SimPlantConfig(
+            detuning_offset=0.1, amplitude_scale=1.05, noiseless=noiseless, seed=11
+        )
+        reused, fresh = SimPlant(params, config), FreshCopyPlant(params, config)
+        assert gate_fom(reused, pulse, GATE_G) == gate_fom(fresh, pulse, GATE_G)
+        assert reused._rng.bit_generator.state == fresh._rng.bit_generator.state
+
+
+class FreshCopyPlant(SimPlant):
+    """Hands every pulse on as a new object, so no propagator is reused."""
+
+    def apply(self, pulse):
+        super().apply(PulseWaveform(pulse.duration, pulse.x, pulse.y))
