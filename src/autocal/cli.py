@@ -102,22 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="autocal")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    invert = sub.add_parser("invert", help="closed-loop state-transfer calibration")
-    invert.add_argument("--dt-rel", type=float, default=1.5, help="T / T_pi")
-    invert.add_argument("--detuning-rel", type=float, default=0.0, help="Delta / Omega")
-    invert.add_argument("--noise", action="store_true")
-    invert.add_argument("--shots", type=int, default=10_000)
-    invert.add_argument("--out", type=Path, default=Path("autocal-invert"))
-    _add_dcrab_options(invert)
-
-    gate = sub.add_parser("gate", help="closed-loop Hadamard-like gate calibration")
-    gate.add_argument("--detuning-rel", type=float, default=0.0)
-    gate.add_argument("--dt-rel", type=float, default=1.5)
-    gate.add_argument("--noise", action="store_true")
-    gate.add_argument("--shots", type=int, default=10_000)
-    gate.add_argument("--out", type=Path, default=Path("autocal-gate"))
-    _add_dcrab_options(gate)
-    gate.set_defaults(target=0.98)
+    for command, text in (
+        ("invert", "closed-loop state-transfer calibration"),
+        ("gate", "closed-loop Hadamard-like gate calibration"),
+    ):
+        demo = sub.add_parser(command, help=text)
+        demo.add_argument("--dt-rel", type=float, default=1.5, help="T / T_pi")
+        demo.add_argument("--detuning-rel", type=float, default=0.0, help="Delta / Omega")
+        demo.add_argument("--noise", action="store_true")
+        demo.add_argument("--shots", type=int, default=10_000)
+        demo.add_argument("--out", type=Path, default=Path(f"autocal-{command}"))
+        _add_dcrab_options(demo)
+        if command == "gate":
+            demo.set_defaults(target=0.98)
 
     scan = sub.add_parser("scan", help="state-transfer robustness scan")
     scan.add_argument("--config", type=str, default=None)
@@ -144,36 +141,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_invert(args) -> int:
-    config = _dcrab_config(args)
-    result = run_state_transfer_demo(
-        config,
+def _cmd_demo(args) -> int:
+    """``invert`` or ``gate``: one closed-loop run with its output files."""
+    gate = args.command == "gate"
+    outcome = (run_gate_demo if gate else run_state_transfer_demo)(
+        _dcrab_config(args),
         det_rel=args.detuning_rel,
         t_rel=args.dt_rel,
         noisy=args.noise,
         shots=args.shots,
         out_dir=args.out,
     )
+    result = outcome[0] if gate else outcome
     print(
-        f"best fidelity {result.best_fidelity.value:.4f} "
-        f"+/- {result.best_fidelity.sigma:.4f} after {result.n_evaluations} evaluations"
-    )
-    print(f"outputs written to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_gate(args) -> int:
-    config = _dcrab_config(args)
-    result, _chi = run_gate_demo(
-        config,
-        det_rel=args.detuning_rel,
-        t_rel=args.dt_rel,
-        noisy=args.noise,
-        shots=args.shots,
-        out_dir=args.out,
-    )
-    print(
-        f"best gate fidelity {result.best_fidelity.value:.4f} "
+        f"best {'gate ' if gate else ''}fidelity {result.best_fidelity.value:.4f} "
         f"+/- {result.best_fidelity.sigma:.4f} after {result.n_evaluations} evaluations"
     )
     print(f"outputs written to {args.out}")
@@ -251,8 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {
-        "invert": _cmd_invert,
-        "gate": _cmd_gate,
+        "invert": _cmd_demo,
+        "gate": _cmd_demo,
         "scan": _cmd_scan,
         "compare-openloop": _cmd_compare,
         "qpt": _cmd_qpt,

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .plant import PlantInterface
+from .plant import PlantInterface, PreparationIndex
 from .qubit import (
     ContractError,
-    DensityMatrix,
     GATE_G,
     PlantParams,
     PulseWaveform,
@@ -25,7 +24,6 @@ from .qubit import (
     total_propagator,
 )
 from .tomography import FidelityEstimate, FitFailure, gate_fom, state_transfer_fom
-from .plant import PreparationIndex
 
 log = logging.getLogger(__name__)
 
@@ -117,19 +115,12 @@ class DcrabLedger:
         return np.sin(math.pi * times / self.duration)
 
     def update_profiles(
-        self, times: np.ndarray, active_coeffs: np.ndarray | None = None
+        self, times: np.ndarray, active_coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Windowed update g per channel, frozen terms plus the active term."""
+        """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
         gx = np.zeros_like(times)
         gy = np.zeros_like(times)
-        for term in self.frozen:
-            tx, ty = term.channel_profiles(times)
-            gx += tx
-            gy += ty
-        if self.active is not None:
-            term = self.active
-            if active_coeffs is not None:
-                term = term.with_coeffs(active_coeffs)
+        for term in [*self.frozen, self.active.with_coeffs(active_coeffs)]:
             tx, ty = term.channel_profiles(times)
             gx += tx
             gy += ty
@@ -169,6 +160,10 @@ class NelderMeadResult:
     n_evals: int
 
 
+class _Stop(Exception):
+    """Ends the simplex search: the budget is spent or the target reached."""
+
+
 def nelder_mead(
     objective,
     x0: np.ndarray,
@@ -193,6 +188,8 @@ def nelder_mead(
     trace: list[float] = []
 
     def f(x: np.ndarray) -> float:
+        if len(trace) >= max_evals:
+            raise _Stop
         value = float(objective(x))
         if math.isnan(value):
             log.warning("objective returned NaN; scoring 0")
@@ -200,110 +197,78 @@ def nelder_mead(
         trace.append(value)
         return value
 
-    vertices = [x0.copy()]
+    vertices = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
-        v = x0.copy()
-        v[i] += scale
-        vertices.append(v)
-    values = []
-    done = False
-    for v in vertices:
-        values.append(f(v))
-        if target is not None and values[-1] >= target:
-            done = True
-            break
-    vertices = np.array(vertices[: len(values)])
-    values = np.array(values)
+        vertices[i + 1, i] += scale
+    # vertices not yet scored when the target stops the search never win the argmax
+    values = np.full(dim + 1, -math.inf)
 
-    def result() -> NelderMeadResult:
-        i = int(np.argmax(values))
-        return NelderMeadResult(vertices[i].copy(), float(values[i]), trace, len(trace))
+    def put(i: int, x: np.ndarray, value: float) -> None:
+        vertices[i], values[i] = x, value
+        if target is not None and value >= target:
+            raise _Stop
 
-    if done or len(values) < dim + 1:
-        return result()
-
-    while len(trace) < max_evals:
-        order = np.argsort(-values)  # descending: best first
-        vertices = vertices[order]
-        values = values[order]
-        if np.max(np.abs(vertices[1:] - vertices[0])) < tol:
-            break
-        centroid = vertices[:-1].mean(axis=0)
-        worst = values[-1]
-
-        def try_point(x: np.ndarray) -> float | None:
-            if len(trace) >= max_evals:
-                return None
-            return f(x)
-
-        reflected = centroid + (centroid - vertices[-1])
-        fr = try_point(reflected)
-        if fr is None:
-            break
-        if target is not None and fr >= target:
-            vertices[-1], values[-1] = reflected, fr
-            break
-        if fr > values[0]:
-            expanded = centroid + 2.0 * (centroid - vertices[-1])
-            fe = try_point(expanded)
-            if fe is None:
-                vertices[-1], values[-1] = reflected, fr
+    try:
+        for i, v in enumerate(vertices):
+            put(i, v, f(v))
+        while len(trace) < max_evals:
+            order = np.argsort(-values)  # descending: best first
+            vertices = vertices[order]
+            values = values[order]
+            if np.max(np.abs(vertices[1:] - vertices[0])) < tol:
                 break
-            if target is not None and fe >= target:
-                vertices[-1], values[-1] = expanded, fe
-                break
-            if fe > fr:
-                vertices[-1], values[-1] = expanded, fe
+            centroid = vertices[:-1].mean(axis=0)
+            worst = values[-1]
+            reflected = centroid + (centroid - vertices[-1])
+            fr = f(reflected)
+            # every stored value is below the target, so a reflection that
+            # reaches it is stored by one of the next two branches
+            if fr > values[0]:
+                # from the worst vertex, so before the reflection replaces it
+                expanded = centroid + 2.0 * (centroid - vertices[-1])
+                put(-1, reflected, fr)
+                fe = f(expanded)
+                if fe > fr:
+                    put(-1, expanded, fe)
+                continue
+            if fr > values[-2]:
+                put(-1, reflected, fr)
+                continue
+            outside = fr > worst
+            if outside:
+                contracted = centroid + 0.5 * (reflected - centroid)
             else:
-                vertices[-1], values[-1] = reflected, fr
-            continue
-        if fr > values[-2]:
-            vertices[-1], values[-1] = reflected, fr
-            continue
-        outside = fr > worst
-        if outside:
-            contracted = centroid + 0.5 * (reflected - centroid)
-        else:
-            contracted = centroid + 0.5 * (vertices[-1] - centroid)
-        fc = try_point(contracted)
-        if fc is None:
-            break
-        if target is not None and fc >= target:
-            vertices[-1], values[-1] = contracted, fc
-            break
-        # inside contraction must improve strictly on the worst vertex,
-        # otherwise the simplex shrinks; prevents stalling on flat landscapes
-        if (outside and fc >= fr) or (not outside and fc > worst):
-            vertices[-1], values[-1] = contracted, fc
-            continue
-        # shrink toward the best vertex
-        stop = False
-        for i in range(1, len(vertices)):
-            vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
-            fi = try_point(vertices[i])
-            if fi is None:
-                stop = True
-                break
-            values[i] = fi
-            if target is not None and fi >= target:
-                stop = True
-                break
-        if stop:
-            break
-    return result()
+                contracted = centroid + 0.5 * (vertices[-1] - centroid)
+            fc = f(contracted)
+            # inside contraction must improve strictly on the worst vertex,
+            # otherwise the simplex shrinks; prevents stalling on flat landscapes
+            if (outside and fc >= fr) or (not outside and fc > worst):
+                put(-1, contracted, fc)
+                continue
+            # shrink toward the best vertex
+            for i in range(1, len(vertices)):
+                shrunk = vertices[0] + 0.5 * (vertices[i] - vertices[0])
+                put(i, shrunk, f(shrunk))
+    except _Stop:
+        pass
+    i = int(np.argmax(values))
+    return NelderMeadResult(vertices[i].copy(), float(values[i]), trace, len(trace))
 
 
 # ---------------------------------------------------------------------------
 # Figures of merit and the closed loop
 
 
-def make_fom(kind: str, ideal_gate: np.ndarray | None = None, repetitions: int | None = None):
-    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate."""
+def make_fom(kind: str):
+    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate.
+
+    The FoM function is looked up in this module at each call, so a
+    replacement patched onto the module attribute sees every evaluation.
+    """
     if kind == "state-transfer":
-        return lambda plant, pulse: state_transfer_fom(plant, pulse, repetitions)
+        return lambda plant, pulse: state_transfer_fom(plant, pulse)
     if kind == "gate":
-        gate = GATE_G if ideal_gate is None else ideal_gate
-        return lambda plant, pulse: gate_fom(plant, pulse, gate, repetitions)
+        return lambda plant, pulse: gate_fom(plant, pulse, GATE_G)
     raise ContractError(f"unknown figure-of-merit kind {kind!r}")
 
 
@@ -421,7 +386,6 @@ def evaluate_pulse_open_loop(
     pulse: PulseWaveform,
     params: PlantParams,
     fom: str = "state-transfer",
-    ideal_gate: np.ndarray | None = None,
     amplitude_scale: float = 1.0,
 ) -> FidelityEstimate:
     """Exact noiseless model evaluation of a fixed pulse.
@@ -438,11 +402,10 @@ def evaluate_pulse_open_loop(
     if fom == "state-transfer":
         value = abs(u[1, 0]) ** 2
     elif fom == "gate":
-        gate = GATE_G if ideal_gate is None else ideal_gate
         probs = []
         for idx in PreparationIndex:
             psi = idx.state_vector()
-            probs.append(abs(psi.conj() @ gate.conj().T @ u @ psi) ** 2)
+            probs.append(abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2)
         value = float(np.mean(probs))
     else:
         raise ContractError(f"unknown figure-of-merit kind {fom!r}")

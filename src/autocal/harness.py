@@ -99,7 +99,7 @@ def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
             )
 
 
-def write_summary_json(result: OptimizationResult, path: Path | str, extra: dict | None = None) -> None:
+def write_summary_json(result: OptimizationResult, path: Path | str) -> None:
     summary = {
         "loop_kind": result.loop_kind,
         "data_kind": result.data_kind,
@@ -115,8 +115,6 @@ def write_summary_json(result: OptimizationResult, path: Path | str, extra: dict
             for term in result.ledger.frozen
         ],
     }
-    if extra:
-        summary.update(extra)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
 
@@ -126,12 +124,9 @@ def write_manifest(path: Path | str, **resolved) -> None:
         json.dump(resolved, fh, indent=2, default=str)
 
 
-def write_chi_json(chi: ChiMatrix, path: Path | str, extra: dict | None = None) -> None:
-    payload = chi.to_json_dict()
-    if extra:
-        payload.update(extra)
+def write_chi_json(chi: ChiMatrix, path: Path | str, extra: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({**chi.to_json_dict(), **extra}, fh, indent=2)
 
 
 def write_chi_report(chi: ChiMatrix, path: Path | str) -> None:
@@ -147,6 +142,55 @@ def write_chi_report(chi: ChiMatrix, path: Path | str) -> None:
 # Demo runs
 
 
+# CLI verb -> (figure of merit, plant seed key); the verb also names the manifest
+_DEMOS = {"invert": ("state-transfer", 1), "gate": ("gate", 2)}
+
+
+def _run_demo(
+    command: str,
+    config: DcrabConfig,
+    det_rel: float,
+    t_rel: float,
+    noisy: bool,
+    shots: int,
+    out_dir: Path | str | None,
+    plant_seed: int | None,
+) -> tuple[OptimizationResult, ChiMatrix | None]:
+    """One closed-loop run on a fresh plant; a gate run adds process tomography."""
+    fom, seed_key = _DEMOS[command]
+    params = params_from_relative(t_rel, det_rel)
+    plant = SimPlant(
+        params,
+        SimPlantConfig(
+            noiseless=not noisy,
+            repetitions=shots,
+            seed=derived_seed(config.seed, seed_key) if plant_seed is None else plant_seed,
+        ),
+    )
+    result = run_dcrab(plant, fom, config)
+    chi = process_tomography(plant, result.best_pulse) if command == "gate" else None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace_jsonl(result, out / "trace.jsonl")
+        write_summary_json(result, out / "summary.json")
+        save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
+        if chi is not None:
+            write_chi_report(chi, out / "chi.json")
+        write_manifest(
+            out / "manifest.json",
+            command=command,
+            det_rel=det_rel,
+            t_rel=t_rel,
+            noisy=noisy,
+            shots=shots,
+            rabi_frequency=params.rabi_frequency,
+            dcrab=asdict(config),
+            plant_seed=plant.config.seed,
+        )
+    return result, chi
+
+
 def run_state_transfer_demo(
     config: DcrabConfig,
     det_rel: float,
@@ -156,34 +200,7 @@ def run_state_transfer_demo(
     out_dir: Path | str | None = None,
     plant_seed: int | None = None,
 ) -> OptimizationResult:
-    params = params_from_relative(t_rel, det_rel)
-    plant = SimPlant(
-        params,
-        SimPlantConfig(
-            noiseless=not noisy,
-            repetitions=shots,
-            seed=derived_seed(config.seed, 1) if plant_seed is None else plant_seed,
-        ),
-    )
-    result = run_dcrab(plant, "state-transfer", config)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_jsonl(result, out / "trace.jsonl")
-        write_summary_json(result, out / "summary.json")
-        save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
-        write_manifest(
-            out / "manifest.json",
-            command="invert",
-            det_rel=det_rel,
-            t_rel=t_rel,
-            noisy=noisy,
-            shots=shots,
-            rabi_frequency=params.rabi_frequency,
-            dcrab=asdict(config),
-            plant_seed=plant.config.seed,
-        )
-    return result
+    return _run_demo("invert", config, det_rel, t_rel, noisy, shots, out_dir, plant_seed)[0]
 
 
 def run_gate_demo(
@@ -195,36 +212,7 @@ def run_gate_demo(
     out_dir: Path | str | None = None,
     plant_seed: int | None = None,
 ) -> tuple[OptimizationResult, ChiMatrix]:
-    params = params_from_relative(t_rel, det_rel)
-    plant = SimPlant(
-        params,
-        SimPlantConfig(
-            noiseless=not noisy,
-            repetitions=shots,
-            seed=derived_seed(config.seed, 2) if plant_seed is None else plant_seed,
-        ),
-    )
-    result = run_dcrab(plant, "gate", config)
-    chi = process_tomography(plant, result.best_pulse)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_jsonl(result, out / "trace.jsonl")
-        write_summary_json(result, out / "summary.json")
-        save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
-        write_chi_report(chi, out / "chi.json")
-        write_manifest(
-            out / "manifest.json",
-            command="gate",
-            det_rel=det_rel,
-            t_rel=t_rel,
-            noisy=noisy,
-            shots=shots,
-            rabi_frequency=params.rabi_frequency,
-            dcrab=asdict(config),
-            plant_seed=plant.config.seed,
-        )
-    return result, chi
+    return _run_demo("gate", config, det_rel, t_rel, noisy, shots, out_dir, plant_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +370,7 @@ def run_openloop_comparison(
             raise FileNotFoundError(f"missing scan pulse {pulse_path}")
         pulse = load_pulse_csv(pulse_path)
         nominal = params_from_relative(t_rel, det_rel, rabi)
-        perturbed = PlantParams(
-            rabi_frequency=nominal.rabi_frequency,
-            detuning=nominal.detuning + detuning_offset_rel * rabi,
-            duration=nominal.duration,
-        )
+        perturbed = replace(nominal, detuning=nominal.detuning + detuning_offset_rel * rabi)
         open_loop = evaluate_pulse_open_loop(
             pulse, perturbed, "state-transfer", amplitude_scale=amplitude_scale
         )

@@ -27,7 +27,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 KET_ZERO = np.array([1.0, 0.0], dtype=complex)
-KET_MINUS_ONE = np.array([0.0, 1.0], dtype=complex)
 
 #: The target gate of the gate-calibration experiments: a Hadamard-like
 #: pi/2 rotation about x, G = (1/sqrt(2)) [[1, -i], [-i, 1]].
@@ -243,10 +242,6 @@ class DensityMatrix:
     @staticmethod
     def pure_zero() -> "DensityMatrix":
         return DensityMatrix.from_state_vector(KET_ZERO)
-
-    @staticmethod
-    def pure_minus_one() -> "DensityMatrix":
-        return DensityMatrix.from_state_vector(KET_MINUS_ONE)
 
     @staticmethod
     def from_entries(a: float, b: float, c: float, d: float) -> "DensityMatrix":

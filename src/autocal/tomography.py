@@ -65,7 +65,12 @@ class StateEstimate:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Figure-of-merit value with its statistical error bar."""
+    """Figure-of-merit value and its sigma.
+
+    ``sigma`` is (1/4) sqrt(pure-state projection residual) of the tomographic
+    fit (see ``mle_project``): a distance of the fitted state from purity,
+    not a standard error of ``value``.
+    """
 
     value: float
     sigma: float
@@ -139,14 +144,6 @@ def _varpro(
     slope_y = ramp * (q * sin_t - b * cos_t)
     grad = 2.0 * np.sum(residual * np.hstack([slope_x, slope_y]), axis=1)
     return params[..., 0], np.sum(residual**2, axis=1), grad
-
-
-def _fit_at(
-    omegas: np.ndarray, times: np.ndarray, x_curve: np.ndarray, y_curve: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear LSQ of (s, q, c, b) at each frequency; returns params (k, 4) and SSE (k,)."""
-    params, sse, _ = _varpro(omegas, times, np.concatenate([x_curve, y_curve]))
-    return params, sse
 
 
 @functools.lru_cache(maxsize=4)
@@ -311,7 +308,7 @@ def _mle_residual(a, b, c, d, p00, p01, p11):
 
 
 def mle_project(fit: RabiFit) -> StateEstimate:
-    """Nearest pure state to the fitted entries, with the per-entry error bar.
+    """Nearest pure state to the fitted entries, and its distance from them.
 
     The residual is the squared Frobenius distance ||M - P||^2 between the
     fitted matrix M and a pure state P, which equals ||M||^2 - 2 tr(M P) + 1;
@@ -320,7 +317,9 @@ def mle_project(fit: RabiFit) -> StateEstimate:
     That projector's Bloch vector is the unit vector along
     r = (2b, -2c, d - a); r = 0 gives |0>.  The angles follow from
     Bloch(xi, nu) = (cos xi sin nu, -sin xi, cos xi cos nu) with
-    xi in [0, 2 pi), nu in [0, pi); sigma = (1/4) sqrt(residual).
+    xi in [0, 2 pi), nu in [0, pi).  sigma = (1/4) sqrt(residual) measures
+    how far the fit is from a pure state; it is not a standard error of the
+    entries or of a fidelity read from them.
     """
     rx, ry, rz = 2.0 * fit.b, -2.0 * fit.c, fit.d - fit.a
     if rx == ry == rz == 0.0:
@@ -342,11 +341,9 @@ def mle_project(fit: RabiFit) -> StateEstimate:
 def state_tomography(
     plant: PlantInterface,
     repetitions: int | None = None,
-    times: np.ndarray | None = None,
 ) -> StateEstimate:
     """Reconstruct the plant's current state from x and y Rabi scans."""
-    if times is None:
-        times = default_rabi_times(plant.nominal.rabi_frequency)
+    times = default_rabi_times(plant.nominal.rabi_frequency)
     x_curve = run_rabi_scan(plant, "x", times, repetitions)
     y_curve = run_rabi_scan(plant, "y", times, repetitions)
     fit = fit_rabi(x_curve, y_curve, times, plant.nominal.rabi_frequency)
@@ -356,12 +353,11 @@ def state_tomography(
 def state_transfer_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
-    repetitions: int | None = None,
 ) -> FidelityEstimate:
     """F = reconstructed |-1> population after driving |0> with ``pulse``."""
     plant.prepare(PreparationIndex.PSI_1)
     plant.apply(pulse)
-    est = state_tomography(plant, repetitions)
+    est = state_tomography(plant)
     return FidelityEstimate(value=est.rho.a, sigma=est.sigma)
 
 
@@ -375,7 +371,6 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 def _tomograph_preparations(
     plant: PlantInterface,
     pulse: PulseWaveform,
-    repetitions: int | None = None,
     inverse: np.ndarray | None = None,
 ) -> list[StateEstimate]:
     """State estimates, ordered by ``PreparationIndex``, after ``pulse`` (then ``inverse``).
@@ -388,7 +383,7 @@ def _tomograph_preparations(
         plant.apply(pulse)
         if inverse is not None:
             plant.apply_ideal_unitary(inverse)
-        estimates.append(state_tomography(plant, repetitions))
+        estimates.append(state_tomography(plant))
     return estimates
 
 
@@ -396,17 +391,17 @@ def gate_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
     ideal_gate: np.ndarray,
-    repetitions: int | None = None,
 ) -> FidelityEstimate:
     """Average return probability over the four input states.
 
     Each input is prepared, driven with the candidate pulse, undone with the
     exact inverse of the ideal gate, and its overlap with the input read off
-    the tomographic reconstruction.  The error bar is the mean of the four
-    per-state sigmas.
+    the tomographic reconstruction.  ``sigma`` is the mean of the four
+    per-state sigmas, each a distance from purity (see ``mle_project``), not
+    a standard error of F.
     """
     inverse = _check_unitary(ideal_gate).conj().T
-    estimates = _tomograph_preparations(plant, pulse, repetitions, inverse)
+    estimates = _tomograph_preparations(plant, pulse, inverse)
     values = []
     for idx, est in zip(PreparationIndex, estimates):
         psi = idx.state_vector()
@@ -442,11 +437,16 @@ def chi_from_final_states(rho_finals) -> ChiMatrix:
     reconstruction matrices.  Linear in its inputs.
     """
     mats = [np.asarray(getattr(r, "matrix", r), dtype=complex) for r in rho_finals]
+    return _unmixed_chi(mats, _PREP_MIX_INV, _LAMBDA)
+
+
+def _unmixed_chi(mats: list[np.ndarray], mix_inv: np.ndarray, sandwich: np.ndarray) -> ChiMatrix:
+    """Unmix the four finals with ``mix_inv``, block them 2x2 and sandwich the block."""
     if len(mats) != 4:
         raise ContractError("need exactly four final states, ordered by PreparationIndex")
-    combos = [sum(_PREP_MIX_INV[j, i] * mats[i] for i in range(4)) for j in range(4)]
+    combos = [sum(mix_inv[j, i] * mats[i] for i in range(4)) for j in range(4)]
     block = np.block([[combos[0], combos[1]], [combos[2], combos[3]]])
-    return ChiMatrix(_LAMBDA @ block @ _LAMBDA)
+    return ChiMatrix(sandwich @ block @ sandwich)
 
 
 _M_PUBLISHED = np.array(
@@ -474,11 +474,7 @@ def chi_matrix_as_published(rho_finals) -> ChiMatrix:
         _SWAP @ np.asarray(getattr(r, "matrix", r), dtype=complex) @ _SWAP
         for r in rho_finals
     ]
-    if len(mats) != 4:
-        raise ContractError("need exactly four final states, ordered by PreparationIndex")
-    combos = [sum(_M_PUBLISHED_INV[j, i] * mats[i] for i in range(4)) for j in range(4)]
-    block = np.block([[combos[0], combos[1]], [combos[2], combos[3]]])
-    return ChiMatrix(_BETA_PUBLISHED @ block @ _BETA_PUBLISHED)
+    return _unmixed_chi(mats, _M_PUBLISHED_INV, _BETA_PUBLISHED)
 
 
 def chi_construction_discrepancy() -> float:
@@ -508,10 +504,9 @@ def analytic_chi_of_unitary(u: np.ndarray) -> ChiMatrix:
 def process_tomography(
     plant: PlantInterface,
     pulse: PulseWaveform,
-    repetitions: int | None = None,
 ) -> ChiMatrix:
     """Full process tomography of ``pulse``: tomograph all four preparations."""
     return chi_from_final_states(
-        [est.rho for est in _tomograph_preparations(plant, pulse, repetitions)]
+        [est.rho for est in _tomograph_preparations(plant, pulse)]
     )
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import autocal.dcrab
 from autocal.dcrab import (
@@ -166,6 +167,176 @@ class TestNelderMead:
         objective = lambda v: float(np.sin(np.sum(v)))
         res = nelder_mead(objective, np.zeros(4), 1.0, 17, 1e-15)
         assert res.n_evals <= 17
+
+
+def reference_nelder_mead(objective, x0, scale, max_evals, tol, target=None):
+    """The search with nine scattered stop checks that the single-exit
+    ``nelder_mead`` replaced, kept as the oracle for its evaluation sequence."""
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    if max_evals < dim + 1:
+        raise ContractError("max_evals must cover the initial simplex")
+
+    trace = []
+
+    def f(x):
+        value = float(objective(x))
+        if math.isnan(value):
+            value = 0.0
+        trace.append(value)
+        return value
+
+    vertices = [x0.copy()]
+    for i in range(dim):
+        v = x0.copy()
+        v[i] += scale
+        vertices.append(v)
+    values = []
+    done = False
+    for v in vertices:
+        values.append(f(v))
+        if target is not None and values[-1] >= target:
+            done = True
+            break
+    vertices = np.array(vertices[: len(values)])
+    values = np.array(values)
+
+    def result():
+        i = int(np.argmax(values))
+        return NelderMeadResult(vertices[i].copy(), float(values[i]), trace, len(trace))
+
+    if done or len(values) < dim + 1:
+        return result()
+
+    while len(trace) < max_evals:
+        order = np.argsort(-values)
+        vertices = vertices[order]
+        values = values[order]
+        if np.max(np.abs(vertices[1:] - vertices[0])) < tol:
+            break
+        centroid = vertices[:-1].mean(axis=0)
+        worst = values[-1]
+
+        def try_point(x):
+            if len(trace) >= max_evals:
+                return None
+            return f(x)
+
+        reflected = centroid + (centroid - vertices[-1])
+        fr = try_point(reflected)
+        if fr is None:
+            break
+        if target is not None and fr >= target:
+            vertices[-1], values[-1] = reflected, fr
+            break
+        if fr > values[0]:
+            expanded = centroid + 2.0 * (centroid - vertices[-1])
+            fe = try_point(expanded)
+            if fe is None:
+                vertices[-1], values[-1] = reflected, fr
+                break
+            if target is not None and fe >= target:
+                vertices[-1], values[-1] = expanded, fe
+                break
+            if fe > fr:
+                vertices[-1], values[-1] = expanded, fe
+            else:
+                vertices[-1], values[-1] = reflected, fr
+            continue
+        if fr > values[-2]:
+            vertices[-1], values[-1] = reflected, fr
+            continue
+        outside = fr > worst
+        if outside:
+            contracted = centroid + 0.5 * (reflected - centroid)
+        else:
+            contracted = centroid + 0.5 * (vertices[-1] - centroid)
+        fc = try_point(contracted)
+        if fc is None:
+            break
+        if target is not None and fc >= target:
+            vertices[-1], values[-1] = contracted, fc
+            break
+        if (outside and fc >= fr) or (not outside and fc > worst):
+            vertices[-1], values[-1] = contracted, fc
+            continue
+        stop = False
+        for i in range(1, len(vertices)):
+            vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
+            fi = try_point(vertices[i])
+            if fi is None:
+                stop = True
+                break
+            values[i] = fi
+            if target is not None and fi >= target:
+                stop = True
+                break
+        if stop:
+            break
+    return result()
+
+
+def landscape(kind, center, levels):
+    """Deterministic objectives: smooth, tie-heavy, clipped, or NaN-returning."""
+
+    def smooth(x):
+        return 1.0 - float(np.sum((x - center) ** 2))
+
+    if kind == "smooth":
+        return smooth
+    if kind == "ties":
+        # np.round keeps the sign, so slightly negative values score -0.0
+        return lambda x: float(np.round(smooth(x) * levels)) / levels
+    if kind == "clipped":
+        return lambda x: min(1.0, max(0.0, 2.0 * smooth(x)))
+    if kind == "constant":
+        return lambda x: 0.5
+    return lambda x: math.nan if smooth(x) < 1.0 - levels / 8.0 else smooth(x)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestNelderMeadSingleExit:
+    @given(
+        dim=st.integers(1, 8),
+        data=st.data(),
+        kind=st.sampled_from(["smooth", "ties", "clipped", "constant", "nan"]),
+        levels=st.integers(1, 8),
+        scale=st.sampled_from([0.05, 0.5, 1.0, 2.0, -0.75]),
+        extra_evals=st.integers(0, 80),
+        tol=st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 0.5]),
+        target=st.one_of(
+            st.none(),
+            st.sampled_from([-0.5, 0.0, 0.5, 0.75, 0.9, 0.99, 1.0, 1.5]),
+            st.floats(-2.0, 1.5),
+        ),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference_bitwise(
+        self, dim, data, kind, levels, scale, extra_evals, tol, target
+    ):
+        coordinate = st.sampled_from([0.0, -0.0, 0.25, -1.0, 0.5])
+        x0 = np.array(data.draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+        center = np.array(data.draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+        objective = landscape(kind, center, levels)
+        max_evals = dim + 1 + extra_evals
+        runs = []
+        for search in (nelder_mead, reference_nelder_mead):
+            points = []
+
+            def recorded(x):
+                points.append(np.array(x, copy=True))
+                return objective(x)
+
+            runs.append((search(recorded, x0, scale, max_evals, tol, target), points))
+        (got, got_points), (want, want_points) = runs
+        assert [bits(p) for p in got_points] == [bits(p) for p in want_points]
+        assert bits(got.trace) == bits(want.trace)
+        assert bits(got.best_x) == bits(want.best_x)
+        assert bits(got.best_value) == bits(want.best_value)
+        assert got.n_evals == want.n_evals == len(got.trace)
 
 
 class TestRunDcrab:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import autocal.cli
+import autocal.dcrab
 import autocal.harness
 from autocal.cli import main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
@@ -342,3 +346,54 @@ print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def load_benchmark_tracing(monkeypatch):
+    """``perfbench/tracing.py``, imported by path; the benchmark is read, never changed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """Names the benchmark wraps or patches must keep resolving at call time."""
+
+    def test_every_traced_name_resolves(self, monkeypatch):
+        for _layer, module, attr, _hook in load_benchmark_tracing(monkeypatch).TRACED:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module}.{attr}"
+
+    @pytest.mark.parametrize(
+        "command, fom, entry",
+        [
+            ("invert", "state_transfer_fom", "run_state_transfer_demo"),
+            ("gate", "gate_fom", "run_gate_demo"),
+        ],
+    )
+    def test_cli_calls_patched_module_attributes(self, tmp_path, monkeypatch, command, fom, entry):
+        # the benchmark replaces harness.run_dcrab and the dcrab FoM functions,
+        # and its tracer replaces the demo entry points the CLI holds
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(autocal.cli, entry)
+        spy(autocal.harness, "run_dcrab")
+        spy(autocal.dcrab, fom)
+        argv = [command, "--superiterations", "1", "--max-evals", "5", "--samples", "100"]
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0
+        assert calls[:2] == [entry, "run_dcrab"]
+        assert calls.count(fom) == len(calls) - 2 >= 1

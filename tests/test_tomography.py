@@ -31,8 +31,8 @@ from autocal.tomography import (
     process_tomography,
     state_tomography,
     state_transfer_fom,
-    _fit_at,
     _pure_entries,
+    _varpro,
 )
 
 OMEGA = 1.0
@@ -148,7 +148,7 @@ class TestBatchedFit:
     def test_matches_per_omega_lstsq(self, omegas, x_curve, y_curve):
         x_curve, y_curve = np.array(x_curve), np.array(y_curve)
         target = np.concatenate([x_curve, y_curve])
-        params, sses = _fit_at(np.array(omegas), TIMES, x_curve, y_curve)
+        params, sses, _ = _varpro(np.array(omegas), TIMES, target)
         for omega, p, sse in zip(omegas, params, sses):
             # reference: one lstsq per frequency on the model's design matrix
             theta = 2.0 * math.pi * omega * TIMES
@@ -513,8 +513,8 @@ class TestProcessTomography:
         assert np.max(np.abs(chi - expected)) < 1e-6
 
     def test_noisy_entries_close(self):
-        plant = make_plant(duration=0.25, noiseless=False, seed=3)
-        chi = process_tomography(plant, exact_g_pulse(), repetitions=10_000).matrix
+        plant = make_plant(duration=0.25, noiseless=False, seed=3, repetitions=10_000)
+        chi = process_tomography(plant, exact_g_pulse()).matrix
         analytic = analytic_chi_of_unitary(GATE_G).matrix
         assert np.max(np.abs(chi - analytic)) < 0.05
 
