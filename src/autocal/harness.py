@@ -44,6 +44,8 @@ def derived_seed(master: int, *key: int) -> int:
 
 
 def params_from_relative(t_rel: float, det_rel: float, rabi: float = DEFAULT_RABI_FREQUENCY) -> PlantParams:
+    if not (math.isfinite(rabi) and rabi > 0.0):
+        raise ContractError("rabi_frequency must be positive and finite")
     t_pi = 1.0 / (2.0 * rabi)
     return PlantParams(rabi_frequency=rabi, detuning=det_rel * rabi, duration=t_rel * t_pi)
 

@@ -117,8 +117,8 @@ class PlantParams:
 
     def __post_init__(self) -> None:
         _require_finite(self.rabi_frequency, self.detuning, self.duration)
-        if not 0.0 <= self.rabi_frequency <= 10.0:
-            raise ContractError("rabi_frequency must lie in [0, 10] MHz")
+        if not 0.0 < self.rabi_frequency <= 10.0:
+            raise ContractError("rabi_frequency must lie in (0, 10] MHz")
         if self.duration <= 0.0:
             raise ContractError("duration must be positive")
 

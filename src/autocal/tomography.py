@@ -107,7 +107,8 @@ class ChiMatrix:
 
 _RESIDUAL_THRESHOLD = 0.15  # rms; noiseless fits sit below 1e-13, 1e4 shots at ~5e-3
 _COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency, built once per scan grid
-_REFINE_TOL = 1e-12  # final omega bracket, relative to rabi_frequency
+_REFINE_TOL = 1e-12  # the refine stops after an omega step this small, relative to rabi_frequency
+_REFINE_STEPS = 20  # cap on the steps of the refine, its first downhill grid step included
 
 
 def _design(omegas: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,54 +162,6 @@ def _coarse_grid(times_bytes: bytes, rabi_frequency: float) -> tuple[np.ndarray,
     return omegas, design, pinv
 
 
-def _bracketed_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> None:
-    """Brent's zero-in on ``f`` over [a, b], f(a) f(b) < 0, until the bracket is below ``xtol``.
-
-    Secant and inverse-quadratic steps, with bisection whenever they would
-    leave the bracket or shrink it too slowly, and steps of at least xtol / 2
-    so the bracket closes from both sides (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4).  ``f`` records what it visits.
-    """
-    tol = 0.5 * xtol
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
-        if fb == 0.0:
-            return
-        if abs(m) <= tol:
-            # the minimum step may have left b up to tol from the zero: one
-            # secant point of the closed bracket lands next to it
-            f(b - fb * (c - b) / (fc - fb))
-            return
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-
-
 def fit_rabi(
     x_curve: np.ndarray,
     y_curve: np.ndarray,
@@ -226,44 +179,48 @@ def fit_rabi(
     projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  The
     coarse step scores a 121-point grid over [0.5, 1.5] * rabi_frequency with
     design matrices and pseudo-inverses cached per (times, rabi_frequency).
-    The refine finds the zero of the exact gradient of the reduced SSE on the
-    side of the best grid point where it changes sign from - to +, with
-    Brent's safeguarded secant iteration, until that bracket is below
-    1e-12 * rabi_frequency.  The lowest-SSE point visited is returned, so the
-    SSE never exceeds that of the best grid point.  Where the gradient does
-    not change sign next to the best grid point (the minimum lies outside
-    [0.5, 1.5] * rabi_frequency, or the SSE is flat), the lowest-SSE point
-    among that grid point and its neighbours is returned; ``at_edge`` flags a
-    fitted w on the edge of the range.
+    The refine takes secant steps on the exact gradient of the reduced SSE,
+    from the best grid point and first one grid step downhill, clamped to
+    that range.  It stops after a step of at most 1e-12 * rabi_frequency,
+    when the last two gradients are equal, or after ``_REFINE_STEPS`` steps,
+    and returns the lowest-SSE point visited, so the SSE never exceeds that
+    of the best grid point.  ``at_edge`` flags a fitted w on the edge of the
+    range (the minimum lies outside it).  A non-finite curve sample raises
+    ``FitFailure``, and a rabi_frequency that is not positive and finite
+    raises ``ContractError``.
     """
     times = np.asarray(times, dtype=float)
     x_curve = np.asarray(x_curve, dtype=float)
     y_curve = np.asarray(y_curve, dtype=float)
     if times.size < 8 or x_curve.shape != times.shape or y_curve.shape != times.shape:
         raise ContractError("curves must share a time grid of >= 8 points")
+    if not (math.isfinite(rabi_frequency) and rabi_frequency > 0.0):
+        raise ContractError("rabi_frequency must be positive and finite")
+    target = np.concatenate([x_curve, y_curve])
+    if not np.all(np.isfinite(target)):
+        raise FitFailure(math.nan)
 
     omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
-    target = np.concatenate([x_curve, y_curve])
     params = pinv @ target
     sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
     k = int(np.argmin(sses))
     visited = [(sses[k], omegas[k], params[k])]
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        p, sse, grad = _varpro(w, times, target)
-        visited.extend(zip(sse, w, p))
-        return grad
-
-    def scalar_gradient(w: float) -> float:
-        return gradient(np.array([w]))[0]
+    def gradient(w: float) -> float:
+        p, sse, grad = _varpro(np.array([w]), times, target)
+        visited.append((sse[0], w, p[0]))
+        return grad[0]
 
     xtol = _REFINE_TOL * rabi_frequency
-    near = omegas[[max(k - 1, 0), k, min(k + 1, omegas.size - 1)]]
-    g_lo, g_k, g_hi = gradient(near)
-    if g_k > 0.0 > g_lo:
-        _bracketed_root(scalar_gradient, near[0], g_lo, near[1], g_k, xtol)
-    elif g_k < 0.0 < g_hi:
-        _bracketed_root(scalar_gradient, near[1], g_k, near[2], g_hi, xtol)
+    w1 = omegas[k]
+    g1 = gradient(w1)
+    step = -math.copysign(omegas[1] - omegas[0], g1)
+    for _ in range(_REFINE_STEPS):
+        w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
+        g1 = gradient(w1)
+        if abs(w1 - w0) <= xtol or g1 == g0:
+            break
+        step = -g1 * (w1 - w0) / (g1 - g0)
 
     sse, omega, (s, q, c, b) = min(visited, key=lambda v: v[0])
     rms = math.sqrt(sse / (2 * times.size))

@@ -395,6 +395,26 @@ class TestRunDcrab:
         with pytest.raises(RuntimeError, match="no evaluation"):
             self.run_once(superiterations=1)
 
+    def test_nan_measurement_scores_zero(self):
+        # a real plant may return a non-finite population: that evaluation
+        # fails its fit and scores 0, and the loop runs on
+        class FlakyPlant(SimPlant):
+            def rabi_scan(self, axis, times, repetitions=None):
+                values = super().rabi_scan(axis, times, repetitions)
+                self.scans += 1
+                if self.scans == 5:  # the x scan of the third evaluation
+                    values = values.copy()
+                    values[3] = math.nan
+                return values
+
+        plant = FlakyPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig())
+        plant.scans = 0
+        config = DcrabConfig(seed=0, superiterations=1, max_evals_per_superiteration=12, n_t=200)
+        result = run_dcrab(plant, "state-transfer", config)
+        assert result.records[2].value == 0.0
+        assert result.n_evaluations > 3
+        assert result.best_fidelity.value > 0.0
+
     def test_trap_escape_statistics(self):
         # synthetic landscape needing two distinct frequencies on X: one
         # super-iteration (single component) plateaus, basis changes unlock it

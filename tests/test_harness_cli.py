@@ -302,6 +302,15 @@ class TestCli:
         assert code == 0
         assert table.exists()
 
+    def test_compare_openloop_zero_rabi_frequency_is_config_error(self, tmp_path):
+        # a bad manifest is a bad input file (exit 2), not a runtime failure
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 0, "det_rels": [0.0]}))
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
+        assert code == 2
+
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2
 

@@ -276,3 +276,9 @@ def test_plant_params_validation():
     with pytest.raises(ContractError):
         PlantParams(1.0, 0.0, -1.0)
     assert PlantParams(2.0, 0.0, 1.0).t_pi == pytest.approx(0.25)
+
+
+def test_plant_params_rejects_zero_rabi_frequency():
+    # Omega = 0 would make t_pi, the scan grid and every FoM divide by zero
+    with pytest.raises(ContractError):
+        PlantParams(0.0, 0.0, 1.0)

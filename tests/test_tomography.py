@@ -137,6 +137,19 @@ class TestRabiFit:
         with pytest.raises(ContractError):
             fit_rabi(np.ones(5), np.ones(5), t, OMEGA)
 
+    def test_non_finite_sample_fails_fit(self):
+        # a plant may return NaN: the fit fails and the loop scores 0
+        x_curve, y_curve = model_curves(0.2, 0.24, -0.32, 0.8)
+        x_curve[7] = np.nan
+        with pytest.raises(FitFailure):
+            fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+
+    @pytest.mark.parametrize("rabi_frequency", [0.0, -1.0, math.nan])
+    def test_rabi_frequency_must_be_positive_and_finite(self, rabi_frequency):
+        x_curve, y_curve = model_curves(0.2, 0.24, -0.32, 0.8)
+        with pytest.raises(ContractError):
+            fit_rabi(x_curve, y_curve, TIMES, rabi_frequency)
+
 
 class TestBatchedFit:
     @given(
@@ -251,6 +264,37 @@ class TestGradientRefine:
                 assert fit.residual**2 * 2 * TIMES.size <= ref_sse * (1.0 + 1e-12)
                 assert abs(fit.omega - ref_omega) <= 1e-8
                 assert np.max(np.abs(entries - ref_entries)) <= 1e-8
+
+
+    def test_low_shot_agrees_with_nested_grid_fit(self):
+        # 900 seeded fits at 100, 1000 and 1e4 shots, half at omega = Omega
+        # and half with omega uniform in [0.4, 1.6] * Omega (edge cases
+        # included).  omega itself is not compared: at these shot counts the
+        # SSE is flat at the float floor and both fits resolve omega to ~1e-8
+        rng = np.random.default_rng(909)
+        n2 = 2 * TIMES.size
+        for i in range(900):
+            shots = (100, 1000, 10_000)[i % 3]
+            a = rng.uniform(0.0, 1.0)
+            d = 1.0 - a
+            radius = math.sqrt(a * d) * rng.uniform(0.0, 1.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            b, c = radius * math.cos(phi), radius * math.sin(phi)
+            omega = OMEGA if (i // 3) % 2 == 0 else rng.uniform(0.4, 1.6) * OMEGA
+            x_curve, y_curve = model_curves(a, b, c, d, omega=omega)
+            x_curve = rng.binomial(shots, np.clip(x_curve, 0, 1)) / shots
+            y_curve = rng.binomial(shots, np.clip(y_curve, 0, 1)) / shots
+            ref_entries, _, ref_sse = nested_grid_fit(x_curve, y_curve, TIMES, OMEGA)
+            ref_fails = math.sqrt(ref_sse / n2) > 0.15
+            try:
+                fit = fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+            except FitFailure:
+                assert ref_fails
+                continue
+            assert not ref_fails
+            entries = np.array([fit.a, fit.b, fit.c, fit.d])
+            assert fit.residual**2 * n2 <= ref_sse * (1.0 + 1e-12)
+            assert np.max(np.abs(entries - ref_entries)) <= 1e-8
 
 
 class TestMleProject:
