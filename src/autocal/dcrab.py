@@ -110,6 +110,9 @@ class DcrabLedger:
     duration: float
     frozen: list[BasisTerm] = field(default_factory=list)
     active: BasisTerm | None = None
+    # the frozen terms' summed profiles and the window, for the last set of terms and time grid:
+    # (key, gx, gy, window, the keyed terms, kept alive so that their ids stay unique)
+    _frozen_sums: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def window(self, times: np.ndarray) -> np.ndarray:
         return np.sin(math.pi * times / self.duration)
@@ -118,14 +121,18 @@ class DcrabLedger:
         self, times: np.ndarray, active_coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        gx = np.zeros_like(times)
-        gy = np.zeros_like(times)
-        for term in [*self.frozen, self.active.with_coeffs(active_coeffs)]:
-            tx, ty = term.channel_profiles(times)
-            gx += tx
-            gy += ty
-        w = self.window(times)
-        return w * gx, w * gy
+        key = ([id(term) for term in self.frozen], times.tobytes())
+        if self._frozen_sums[0] != key:
+            gx = np.zeros_like(times)
+            gy = np.zeros_like(times)
+            for term in self.frozen:
+                tx, ty = term.channel_profiles(times)
+                gx += tx
+                gy += ty
+            self._frozen_sums = (key, gx, gy, self.window(times), tuple(self.frozen))
+        _, gx, gy, w, _ = self._frozen_sums
+        tx, ty = self.active.with_coeffs(active_coeffs).channel_profiles(times)
+        return w * (gx + tx), w * (gy + ty)
 
 
 def assemble_pulse(

@@ -361,9 +361,11 @@ def run_openloop_comparison(
     manifest_path = scan_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no scan manifest in {scan_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    rabi = manifest["rabi_frequency"]
-    det_rels = manifest["det_rels"]
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        rabi, det_rels = float(manifest["rabi_frequency"]), [float(d) for d in manifest["det_rels"]]
+    except (ValueError, KeyError, TypeError) as err:
+        raise ContractError(f"bad scan manifest {manifest_path}: {err!r}") from err
     config = config or DcrabConfig()
     rows = []
     for j, det_rel in enumerate(det_rels):

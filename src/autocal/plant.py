@@ -11,6 +11,7 @@ vectorised pass that draws the same numbers.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -52,8 +53,12 @@ class PreparationIndex(enum.IntEnum):
             return np.array([1.0 / _SQRT2, -1.0j / _SQRT2], dtype=complex)
         return np.array([1.0 / _SQRT2, 1.0 / _SQRT2], dtype=complex)
 
+    @functools.cache
     def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix.from_state_vector(self.state_vector())
+        """The prepared state: one shared object per index, with a read-only matrix."""
+        rho = DensityMatrix.from_state_vector(self.state_vector())
+        rho.matrix.flags.writeable = False
+        return rho
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,8 @@ class SimPlant(PlantInterface):
     def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
         """The default scan in one pass, with the same values and random draws."""
         rho = self._require_state().matrix
-        hx, hy = self._rotation_rates(axis)
-        n = times.size
-        u = _propagator_stack(np.full(n, hx), np.full(n, hy), np.zeros(n), times)
-        p = (u @ rho @ u.conj().transpose(0, 2, 1))[:, 0, 0].real
+        u, u_adjoint = _scan_rotations(*self._rotation_rates(axis), times.tobytes())
+        p = (u @ rho @ u_adjoint)[:, 0, 0].real
         return self._sample(np.clip(p, 0.0, 1.0), repetitions)
 
     def _rotation_rates(self, axis: str) -> tuple[float, float]:
@@ -237,6 +240,17 @@ class SimPlant(PlantInterface):
 
     def set_state(self, rho: DensityMatrix) -> None:
         self._state = rho
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_rotations(hx: float, hy: float, times_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rotation stack (n, 2, 2) of a scan and its adjoint, built once per drive and grid."""
+    times = np.frombuffer(times_bytes)
+    n = times.size
+    u = _propagator_stack(np.full(n, hx), np.full(n, hy), np.zeros(n), times)
+    u_adjoint = u.conj().transpose(0, 2, 1)
+    u.flags.writeable = u_adjoint.flags.writeable = False
+    return u, u_adjoint
 
 
 def default_rabi_times(rabi_frequency: float, n_points: int = 41) -> np.ndarray:

@@ -32,10 +32,13 @@ CHI_BASIS_LABELS = ("I", "sigma_x", "-i*sigma_y", "sigma_z")
 
 
 class FitFailure(RuntimeError):
-    """Rabi fit residual exceeded the plausibility threshold."""
+    """A Rabi fit failed: a non-finite sample (``residual`` is NaN) or a residual above threshold."""
 
-    def __init__(self, residual: float):
-        super().__init__(f"Rabi fit diverged (rms residual {residual:.3g})")
+    def __init__(self, residual: float, preparation: str = ""):
+        reason = f"Rabi fit diverged (rms residual {residual:.3g})"
+        if math.isnan(residual):
+            reason = "bad measurement (non-finite Rabi scan sample)"
+        super().__init__(f"{preparation}: {reason}" if preparation else reason)
         self.residual = residual
 
 
@@ -109,6 +112,7 @@ _RESIDUAL_THRESHOLD = 0.15  # rms; noiseless fits sit below 1e-13, 1e4 shots at 
 _COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency, built once per scan grid
 _REFINE_TOL = 1e-12  # the refine stops after an omega step this small, relative to rabi_frequency
 _REFINE_STEPS = 20  # cap on the steps of the refine, its first downhill grid step included
+_X_THEN_Y_SIGNS = np.array([[1.0], [-1.0]])  # signs of c and b in the x and y curves' slopes
 
 
 def _design(omegas: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,13 +120,12 @@ def _design(omegas: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarr
     theta = np.multiply.outer(TWO_PI * omegas, times)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    n = times.size
-    design = np.zeros((omegas.size, 2 * n, 4))
+    design = np.zeros((omegas.size, 2, times.size, 4))  # x rows, then y rows
     design[..., 0] = 1.0
-    design[..., 1] = np.hstack([cos_t, cos_t])
-    design[:, :n, 2] = -sin_t
-    design[:, n:, 3] = sin_t
-    return design, cos_t, sin_t
+    design[..., 1] = cos_t[:, None]
+    design[:, 0, :, 2] = -sin_t
+    design[:, 1, :, 3] = sin_t
+    return design.reshape(omegas.size, 2 * times.size, 4), cos_t, sin_t
 
 
 def _varpro(
@@ -130,20 +133,20 @@ def _varpro(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear LSQ of (s, q, c, b) at each frequency: params (k, 4), SSE (k,), dSSE/dw (k,).
 
-    One batched 4x4 normal-equation solve.  The SSE sums the residual itself:
+    ``target`` is (2n,), or (k, 2n) with one row per frequency.  One batched
+    4x4 normal-equation solve.  The SSE sums the residual itself:
     ||y||^2 - p.A^T y cancels catastrophically near an exact fit.  Since
     A^T r = 0 at the solution, the derivative of the reduced SSE is exactly
     2 r^T (dA/dw) p (Golub & Pereyra 1973), with r = A p - y.
     """
     design, cos_t, sin_t = _design(omegas, times)
     design_t = design.transpose(0, 2, 1)
-    params = np.linalg.solve(design_t @ design, (design_t @ target)[..., None])
+    params = np.linalg.solve(design_t @ design, design_t @ target[..., None])
     residual = (design @ params)[..., 0] - target
-    q, c, b = params[:, 1], params[:, 2], params[:, 3]  # (k, 1) each
-    ramp = -TWO_PI * times
-    slope_x = ramp * (q * sin_t + c * cos_t)
-    slope_y = ramp * (q * sin_t - b * cos_t)
-    grad = 2.0 * np.sum(residual * np.hstack([slope_x, slope_y]), axis=1)
+    # dA/dw p on the x rows, then the y rows: (q sin + c cos, q sin - b cos) * (-2 pi t)
+    c_minus_b = params[:, 2:] * _X_THEN_Y_SIGNS  # (k, 2, 1)
+    slope = -TWO_PI * times * (params[:, 1:2] * sin_t[:, None] + c_minus_b * cos_t[:, None])
+    grad = 2.0 * np.sum(residual * slope.reshape(residual.shape), axis=1)
     return params[..., 0], np.sum(residual**2, axis=1), grad
 
 
@@ -196,28 +199,33 @@ def fit_rabi(
         raise ContractError("curves must share a time grid of >= 8 points")
     if not (math.isfinite(rabi_frequency) and rabi_frequency > 0.0):
         raise ContractError("rabi_frequency must be positive and finite")
-    target = np.concatenate([x_curve, y_curve])
-    if not np.all(np.isfinite(target)):
-        raise FitFailure(math.nan)
+    fit = _fit_rows(np.concatenate([x_curve, y_curve])[None], times, rabi_frequency)[0]
+    if isinstance(fit, FitFailure):
+        raise fit
+    return fit
 
+
+def _fit_row(target: np.ndarray, times: np.ndarray, rabi_frequency: float):
+    """``fit_rabi`` of one target (2n,) as a coroutine: it yields each frequency of
+    the refine, is sent ``_varpro``'s (params, SSE, gradient) there, and returns
+    the fit or its ``FitFailure``.
+    """
+    if not np.all(np.isfinite(target)):
+        return FitFailure(math.nan)
     omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
     params = pinv @ target
     sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
     k = int(np.argmin(sses))
     visited = [(sses[k], omegas[k], params[k])]
-
-    def gradient(w: float) -> float:
-        p, sse, grad = _varpro(np.array([w]), times, target)
-        visited.append((sse[0], w, p[0]))
-        return grad[0]
-
     xtol = _REFINE_TOL * rabi_frequency
-    w1 = omegas[k]
-    g1 = gradient(w1)
+    w1 = float(omegas[k])
+    p, sse, g1 = yield w1
+    visited.append((sse, w1, p))
     step = -math.copysign(omegas[1] - omegas[0], g1)
     for _ in range(_REFINE_STEPS):
         w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
-        g1 = gradient(w1)
+        p, sse, g1 = yield w1
+        visited.append((sse, w1, p))
         if abs(w1 - w0) <= xtol or g1 == g0:
             break
         step = -g1 * (w1 - w0) / (g1 - g0)
@@ -225,17 +233,34 @@ def fit_rabi(
     sse, omega, (s, q, c, b) = min(visited, key=lambda v: v[0])
     rms = math.sqrt(sse / (2 * times.size))
     if rms > _RESIDUAL_THRESHOLD:
-        raise FitFailure(rms)
+        return FitFailure(rms)
     omega = float(omega)
-    return RabiFit(
-        a=float(s - q),
-        b=float(b),
-        c=float(c),
-        d=float(s + q),
-        omega=omega,
-        residual=rms,
-        at_edge=bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol),
-    )
+    at_edge = bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol)
+    return RabiFit(float(s - q), float(b), float(c), float(s + q), omega, rms, at_edge)
+
+
+def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> list:
+    """``fit_rabi`` of each row (x curve, then y curve) of ``targets`` (k, 2n), unchecked.
+
+    The rows refine in lockstep, one ``_varpro`` call per round; a failed
+    row gives its ``FitFailure`` in place of a fit.
+    """
+    fits: list[RabiFit | FitFailure | None] = [None] * len(targets)
+    live = {r: _fit_row(target, times, rabi_frequency) for r, target in enumerate(targets)}
+    sent = dict.fromkeys(live)  # row -> what its coroutine is sent next
+    while live:
+        asks = {}  # row -> the frequency it asks for
+        for r in list(live):
+            try:
+                asks[r] = live[r].send(sent[r])
+            except StopIteration as done:
+                fits[r] = done.value
+                del live[r]
+        if asks:
+            asking = targets if len(asks) == len(targets) else targets[list(asks)]
+            params, sses, grads = _varpro(np.array(list(asks.values())), times, asking)
+            sent = dict(zip(asks, zip(params, sses, grads.tolist())))
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +326,13 @@ def state_tomography(
 ) -> StateEstimate:
     """Reconstruct the plant's current state from x and y Rabi scans."""
     times = default_rabi_times(plant.nominal.rabi_frequency)
-    x_curve = run_rabi_scan(plant, "x", times, repetitions)
-    y_curve = run_rabi_scan(plant, "y", times, repetitions)
-    fit = fit_rabi(x_curve, y_curve, times, plant.nominal.rabi_frequency)
+    fit = fit_rabi(*_scan_pair(plant, times, repetitions), times, plant.nominal.rabi_frequency)
     return mle_project(fit)
+
+
+def _scan_pair(plant: PlantInterface, times: np.ndarray, repetitions: int | None = None) -> tuple:
+    """The x and then the y Rabi scan of the plant's current state."""
+    return run_rabi_scan(plant, "x", times, repetitions), run_rabi_scan(plant, "y", times, repetitions)
 
 
 def state_transfer_fom(
@@ -332,16 +360,23 @@ def _tomograph_preparations(
 ) -> list[StateEstimate]:
     """State estimates, ordered by ``PreparationIndex``, after ``pulse`` (then ``inverse``).
 
-    The same pulse object is applied each time, so ``SimPlant`` propagates it once.
+    The same pulse object is applied each time, so ``SimPlant`` propagates it
+    once.  All eight scans run before one batched fit; the first failing
+    preparation's ``FitFailure`` names it.
     """
-    estimates = []
+    times = default_rabi_times(plant.nominal.rabi_frequency)
+    targets = []
     for idx in PreparationIndex:
         plant.prepare(idx)
         plant.apply(pulse)
         if inverse is not None:
             plant.apply_ideal_unitary(inverse)
-        estimates.append(state_tomography(plant))
-    return estimates
+        targets.append(np.concatenate(_scan_pair(plant, times)))
+    fits = _fit_rows(np.array(targets), times, plant.nominal.rabi_frequency)
+    for idx, fit in zip(PreparationIndex, fits):
+        if isinstance(fit, FitFailure):
+            raise FitFailure(fit.residual, f"preparation {idx.name}")
+    return [mle_project(fit) for fit in fits]
 
 
 def gate_fom(

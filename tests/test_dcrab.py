@@ -16,8 +16,8 @@ from autocal.dcrab import (
     nelder_mead,
     run_dcrab,
 )
-from autocal.plant import SimPlant, SimPlantConfig
-from autocal.qubit import ContractError, PlantParams, PulseWaveform
+from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
+from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes
 from autocal.tomography import FidelityEstimate
 
 
@@ -123,6 +123,44 @@ class TestAssemblePulse:
         ledger = self.ledger_with_zero_freq_term()
         with pytest.raises(ContractError):
             assemble_pulse(ledger, np.zeros(6), self.PARAMS, 100)
+
+    @staticmethod
+    def uncached_pulse(ledger, coeffs, params, n_t):
+        """Every term's profile summed afresh, in ledger order, then windowed and clipped."""
+        times = np.arange(n_t) * (params.duration / n_t)
+        gx, gy = np.zeros_like(times), np.zeros_like(times)
+        for term in [*ledger.frozen, ledger.active.with_coeffs(coeffs)]:
+            tx, ty = term.channel_profiles(times)
+            gx += tx
+            gy += ty
+        w = ledger.window(times)
+        return clip_amplitudes(w * gx, w * gy)
+
+    def test_frozen_sums_match_uncached_profiles(self):
+        rng = np.random.default_rng(21)
+        params = PlantParams(1.0, 0.0, 0.75)
+        # same n_t, another duration: a new time grid of the same size
+        stretched = PlantParams(1.0, 0.0, 0.8)
+        ledger = DcrabLedger(duration=params.duration)
+
+        def check(plant_params, n_t):
+            coeffs = rng.normal(scale=0.5, size=8)
+            pulse = assemble_pulse(ledger, coeffs, plant_params, n_t)
+            x, y = self.uncached_pulse(ledger, coeffs, plant_params, n_t)
+            assert pulse.x.tobytes() == x.tobytes() and pulse.y.tobytes() == y.tobytes()
+
+        for superiteration in range(6):
+            ledger.active = draw_basis(2, params.duration, rng)
+            for n_t in (1000, 5000, 1000, 200):
+                for _ in range(3):
+                    check(params, n_t)
+            check(stretched, 200)
+            check(params, 200)
+            ledger.frozen.append(ledger.active.with_coeffs(rng.normal(scale=0.5, size=8)))
+        # a replaced set of frozen terms of the same length is summed afresh
+        check(params, 200)
+        ledger.frozen = [draw_basis(2, params.duration, rng).with_coeffs(rng.normal(size=8)) for _ in range(6)]
+        check(params, 200)
 
 
 class TestNelderMead:
@@ -414,6 +452,38 @@ class TestRunDcrab:
         assert result.records[2].value == 0.0
         assert result.n_evaluations > 3
         assert result.best_fidelity.value > 0.0
+
+    def test_nan_in_one_gate_preparation_scores_zero(self, caplog):
+        # all eight scans of a gate evaluation run before its one batched fit;
+        # a NaN in one preparation fails that evaluation, which names it
+        class FlakyPlant(SimPlant):
+            prepares = 0
+
+            def prepare(self, idx):
+                super().prepare(idx)
+                self.prepares += 1
+                self.prepared = idx
+
+            def rabi_scan(self, axis, times, repetitions=None):
+                values = super().rabi_scan(axis, times, repetitions)
+                third_evaluation = (self.prepares - 1) // 4 == 2
+                if third_evaluation and self.prepared is PreparationIndex.PSI_3 and axis == "y":
+                    values = values.copy()
+                    values[-1] = math.nan
+                return values
+
+        plant = FlakyPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig(noiseless=False, seed=2))
+        config = DcrabConfig(seed=0, superiterations=1, max_evals_per_superiteration=12, n_t=200)
+        with caplog.at_level("WARNING", logger="autocal.dcrab"):
+            result = run_dcrab(plant, "gate", config)
+        assert result.records[2].value == 0.0
+        assert result.n_evaluations > 3
+        assert result.best_fidelity.value > 0.0
+        failures = [r.getMessage() for r in caplog.records if "evaluation failed" in r.getMessage()]
+        assert failures == [
+            "evaluation failed (preparation PSI_3: bad measurement"
+            " (non-finite Rabi scan sample)); scoring 0"
+        ]
 
     def test_trap_escape_statistics(self):
         # synthetic landscape needing two distinct frequencies on X: one

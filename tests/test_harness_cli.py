@@ -311,6 +311,19 @@ class TestCli:
         code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"det_rels": [0.0]}', '{"rabi_frequency": "fast", "det_rels": [0.0]}', "not json"],
+        ids=["missing-key", "non-numeric", "not-json"],
+    )
+    def test_compare_openloop_bad_manifest_is_config_error(self, tmp_path, text):
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text(text)
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
+        assert code == 2
+
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2
 

@@ -80,6 +80,13 @@ class TestPreparation:
             m = idx.density_matrix().matrix
             assert np.allclose(m @ m, m, atol=1e-14)
 
+    def test_prepared_state_is_shared_and_read_only(self):
+        for idx in PreparationIndex:
+            rho = idx.density_matrix()
+            assert idx.density_matrix() is rho
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 0.0
+
 
 class TestApply:
     def test_zero_pulse_zero_detuning_unchanged(self):
@@ -335,6 +342,23 @@ class TestRabiScanSeam:
         sim = make_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
         device = make_delegating_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
         assert state_transfer_fom(device, pulse) == state_transfer_fom(sim, pulse)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_new_time_grid_rebuilds_scan_rotations(self, noiseless):
+        # grids of one size but different durations, then the first again:
+        # each scan must rotate by its own grid, not a cached one
+        grids = [default_rabi_times(1.0), default_rabi_times(1.3), default_rabi_times(1.0)]
+        fast, loop = make_plant(noiseless=noiseless, seed=4), make_plant(noiseless=noiseless, seed=4)
+        for plant in (fast, loop):
+            plant.prepare(PreparationIndex.PSI_4)
+        scans = []
+        for times in grids:
+            got = fast.rabi_scan("y", times)
+            assert np.array_equal(got, PlantInterface.rabi_scan(loop, "y", times))
+            scans.append(got)
+        if noiseless:
+            assert not np.array_equal(scans[0], scans[1])
+            assert np.array_equal(scans[0], scans[2])
 
     def test_sim_plant_fom_bypasses_scalar_calls(self, monkeypatch):
         # guards the vectorised scan: a state-transfer evaluation must not

@@ -19,6 +19,7 @@ from autocal.qubit import (
 )
 from autocal.tomography import (
     CHI_BASIS,
+    FidelityEstimate,
     FitFailure,
     RabiFit,
     analytic_chi_of_unitary,
@@ -31,6 +32,7 @@ from autocal.tomography import (
     process_tomography,
     state_tomography,
     state_transfer_fom,
+    _fit_rows,
     _pure_entries,
     _varpro,
 )
@@ -143,6 +145,14 @@ class TestRabiFit:
         x_curve[7] = np.nan
         with pytest.raises(FitFailure):
             fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+
+    def test_non_finite_sample_is_worded_as_bad_measurement(self):
+        x_curve, y_curve = model_curves(0.2, 0.24, -0.32, 0.8)
+        y_curve[0] = np.inf
+        with pytest.raises(FitFailure) as err:
+            fit_rabi(x_curve, y_curve, TIMES, OMEGA)
+        assert str(err.value) == "bad measurement (non-finite Rabi scan sample)"
+        assert math.isnan(err.value.residual)
 
     @pytest.mark.parametrize("rabi_frequency", [0.0, -1.0, math.nan])
     def test_rabi_frequency_must_be_positive_and_finite(self, rabi_frequency):
@@ -619,3 +629,127 @@ class FreshCopyPlant(SimPlant):
 
     def apply(self, pulse):
         super().apply(PulseWaveform(pulse.duration, pulse.x, pulse.y))
+
+
+def fit_outcome(fit):
+    """A fit, or the residual of a ``FitFailure``, as an exact string."""
+    return f"FitFailure({fit.residual!r})" if isinstance(fit, FitFailure) else repr(fit)
+
+
+class TestLockstepFit:
+    """The batched fit of a gate evaluation against one ``fit_rabi`` per row."""
+
+    @pytest.mark.parametrize("shots", [None, 100, 1_000, 10_000])
+    def test_rows_match_single_fits_bitwise(self, shots):
+        rng = np.random.default_rng(2024 if shots is None else shots)
+        for rows in (1, 2, 4, 4, 5, 7):
+            targets = []
+            for _ in range(rows):
+                psi = random_pure_state(rng)
+                rho = np.outer(psi, psi.conj())
+                x, y = model_curves(
+                    rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag, rho[0, 0].real,
+                    omega=rng.uniform(0.4, 1.6),
+                )
+                if shots is not None:
+                    x = rng.binomial(shots, np.clip(x, 0, 1)) / shots
+                    y = rng.binomial(shots, np.clip(y, 0, 1)) / shots
+                targets.append(np.concatenate([x, y]))
+            if rows >= 4:
+                targets[1] = rng.uniform(0.0, 1.0, 2 * TIMES.size)  # diverges
+                targets[-1][rng.integers(2 * TIMES.size)] = np.nan  # bad measurement
+            targets = np.array(targets)
+            want = []
+            for target in targets:
+                try:
+                    want.append(fit_rabi(target[:41], target[41:], TIMES, OMEGA))
+                except FitFailure as err:
+                    want.append(err)
+            got = _fit_rows(targets, TIMES, OMEGA)
+            assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
+            if rows >= 4:
+                assert got[1].residual > 0.15 and math.isnan(got[-1].residual)
+
+
+def per_preparation_estimates(plant, pulse, inverse=None):
+    """The per-preparation path: prepare, apply, scan and fit one input at a time."""
+    estimates = []
+    for idx in PreparationIndex:
+        plant.prepare(idx)
+        plant.apply(pulse)
+        if inverse is not None:
+            plant.apply_ideal_unitary(inverse)
+        estimates.append(state_tomography(plant))
+    return estimates
+
+
+def per_preparation_gate_fom(plant, pulse, ideal_gate):
+    estimates = per_preparation_estimates(plant, pulse, np.asarray(ideal_gate).conj().T)
+    values = [
+        float(np.real(idx.state_vector().conj() @ est.rho.matrix @ idx.state_vector()))
+        for idx, est in zip(PreparationIndex, estimates)
+    ]
+    sigma = float(np.mean([est.sigma for est in estimates]))
+    return FidelityEstimate(value=float(np.mean(values)), sigma=sigma)
+
+
+class TestBatchedPreparations:
+    @pytest.mark.parametrize("shots", [None, 100, 1_000, 10_000])
+    @pytest.mark.parametrize("n_t", [200, 1000])
+    def test_matches_per_preparation_path(self, shots, n_t):
+        rng = np.random.default_rng(n_t + (shots or 0))
+        params = PlantParams(OMEGA, 0.7, 0.75)
+        config = SimPlantConfig(
+            detuning_offset=0.1, noiseless=shots is None, repetitions=shots or 1, seed=n_t
+        )
+        batched, reference = SimPlant(params, config), SimPlant(params, config)
+        for _ in range(3):
+            pulse = PulseWaveform(0.75, rng.uniform(-0.5, 0.5, n_t), rng.uniform(-0.5, 0.5, n_t))
+            got = gate_fom(batched, pulse, GATE_G)
+            want = per_preparation_gate_fom(reference, pulse, GATE_G)
+            assert (repr(got.value), repr(got.sigma)) == (repr(want.value), repr(want.sigma))
+            chi = process_tomography(batched, pulse)
+            chi_ref = chi_from_final_states(
+                [est.rho for est in per_preparation_estimates(reference, pulse)]
+            )
+            assert chi.matrix.tobytes() == chi_ref.matrix.tobytes()
+            assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+class BadPreparationPlant(SimPlant):
+    """Returns a non-finite sample in the scans of the ``nan_at`` preparation,
+    and junk curves in those of the ``junk_at`` preparation."""
+
+    nan_at = junk_at = None
+
+    def prepare(self, idx):
+        super().prepare(idx)
+        self.prepared = idx
+
+    def rabi_scan(self, axis, times, repetitions=None):
+        values = super().rabi_scan(axis, times, repetitions)
+        if self.prepared is self.junk_at:
+            values = np.random.default_rng(len(values)).uniform(0.0, 1.0, values.size)
+        if self.prepared is self.nan_at:
+            values = values.copy()
+            values[2] = math.nan
+        return values
+
+
+class TestBatchedFailure:
+    def test_names_first_failing_preparation(self):
+        # both PSI_2 (diverged) and PSI_4 (bad measurement) fail; PSI_2 comes first
+        plant = BadPreparationPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False))
+        plant.junk_at, plant.nan_at = PreparationIndex.PSI_2, PreparationIndex.PSI_4
+        with pytest.raises(FitFailure) as err:
+            gate_fom(plant, exact_g_pulse(), GATE_G)
+        assert str(err.value).startswith("preparation PSI_2: Rabi fit diverged")
+        assert err.value.residual > 0.15
+
+    def test_bad_measurement_names_its_preparation(self):
+        plant = BadPreparationPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False))
+        plant.nan_at = PreparationIndex.PSI_3
+        with pytest.raises(FitFailure) as err:
+            process_tomography(plant, exact_g_pulse())
+        assert str(err.value) == "preparation PSI_3: bad measurement (non-finite Rabi scan sample)"
+        assert math.isnan(err.value.residual)
