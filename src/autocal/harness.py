@@ -63,15 +63,23 @@ def save_pulse_csv(pulse: PulseWaveform, path: Path | str) -> None:
 
 
 def load_pulse_csv(path: Path | str) -> PulseWaveform:
+    """Read a ``t_us,X,Y`` pulse file; any malformed content is a ``ContractError``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ContractError(f"pulse CSV {path} is empty")
         if header != ["t_us", "X", "Y"]:
-            raise ContractError(f"unexpected pulse CSV header {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
+            raise ContractError(f"unexpected pulse CSV header {header!r} in {path}")
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as err:
+            raise ContractError(f"pulse CSV {path}: {err}") from err
+    if len(rows) < 2 or any(len(row) != 3 for row in rows):
+        raise ContractError(f"pulse CSV {path} needs at least two rows of three numbers")
     data = np.array(rows)
     t = data[:, 0]
-    if t.size < 2 or not np.all(np.diff(t) > 0.0):
+    if not np.all(np.diff(t) > 0.0):
         raise ContractError("pulse CSV times must be strictly increasing")
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):

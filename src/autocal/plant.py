@@ -1,11 +1,9 @@
 """The "experiment" queried by the closed loop.
 
-A plant exposes prepare / apply / measure plus the ideal tomography
-rotations.  Only the simulated implementation ships; the abstract base is
-the seam where a real-device client would plug in.  ``rabi_scan`` is the
-one concrete method of that seam: its default body drives a scan point by
-point through the abstract calls, and ``SimPlant`` overrides it with one
-vectorised pass that draws the same numbers.
+``PlantInterface`` is the seam a real device plugs into: ``nominal``, ``prepare``,
+``apply``, ``apply_ideal_unitary`` and ``rabi_scan``.  Every point of a scan replays
+the recorded prepare / apply / unitary sequence, then rotates and reads out, so a scan
+leaves the state as it was.  ``SimPlant``, the only shipped plant, scans in one pass.
 """
 
 from __future__ import annotations
@@ -101,42 +99,15 @@ class PlantInterface(ABC):
         """Play the candidate pulse through the (imperfect) drive chain."""
 
     @abstractmethod
-    def measure_population(self, which: str, repetitions: int | None = None) -> float:
-        """Estimate the population of basis state '0' or '-1'."""
-
-    @abstractmethod
-    def apply_ideal_rotation(self, axis: str, duration: float) -> None:
-        """Calibrated resonant tomography rotation about 'x' or 'y' for ``duration``."""
-
-    @abstractmethod
     def apply_ideal_unitary(self, u: np.ndarray) -> None:
         """Calibrated gate applied as an exact matrix action (e.g. G inverse)."""
 
     @abstractmethod
-    def current_state(self) -> DensityMatrix:
-        """Snapshot of the current state, for re-preparation during tomography."""
-
-    @abstractmethod
-    def set_state(self, rho: DensityMatrix) -> None:
-        """Re-prepare a previously snapshotted state."""
-
     def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
-        """P(|0>, t) after rotating the current state about ``axis`` for each of ``times``.
+        """P(|0>, t) for each of ``times``: replay since ``prepare``, rotate about ``axis``, read out.
 
-        ``times`` is a validated grid (see ``run_rabi_scan``).  For each
-        duration the stored state is re-prepared, the resonant tomography
-        pulse applied, and the |0> population measured; the state is
-        restored afterwards.
+        ``repetitions`` is the shot count per point; ``run_rabi_scan`` has checked ``times``.
         """
-        initial = self.current_state()
-        out = np.empty(times.size)
-        for i, t in enumerate(times):
-            self.set_state(initial)
-            if t > 0.0:
-                self.apply_ideal_rotation(axis, float(t))
-            out[i] = self.measure_population("0", repetitions)
-        self.set_state(initial)
-        return out
 
 
 class SimPlant(PlantInterface):
@@ -198,6 +169,7 @@ class SimPlant(PlantInterface):
         self._state = apply_unitary(rho, self._last_unitary)
 
     def apply_ideal_rotation(self, axis: str, duration: float) -> None:
+        """Simulation only: one scan point's rotation, kept for tests and per-call tracing."""
         rho = self._require_state()
         hx, hy = self._rotation_rates(axis)
         self._state = apply_unitary(rho, pauli_rotation_propagator(hx, hy, 0.0, duration))
@@ -206,10 +178,11 @@ class SimPlant(PlantInterface):
         self._state = apply_unitary(self._require_state(), u)
 
     def measure_population(self, which: str, repetitions: int | None = None) -> float:
+        """Simulation only: one scan point's readout, kept for tests and per-call tracing."""
         return self._sample(population(self._require_state(), which), repetitions)
 
     def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
-        """The default scan in one pass, with the same values and random draws."""
+        """The scan in one pass: the state is known, so no point needs a replay."""
         rho = self._require_state().matrix
         u, u_adjoint = _scan_rotations(*self._rotation_rates(axis), times.tobytes())
         p = (u @ rho @ u_adjoint)[:, 0, 0].real
@@ -236,9 +209,11 @@ class SimPlant(PlantInterface):
         return self._rng.binomial(reps, p) / reps
 
     def current_state(self) -> DensityMatrix:
+        """Simulation only: the exact state, which tests compare against."""
         return self._require_state()
 
     def set_state(self, rho: DensityMatrix) -> None:
+        """Simulation only: start from an arbitrary state, as the tomography round trips do."""
         self._state = rho
 
 

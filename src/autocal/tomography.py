@@ -40,6 +40,10 @@ class FitFailure(RuntimeError):
             reason = "bad measurement (non-finite Rabi scan sample)"
         super().__init__(f"{preparation}: {reason}" if preparation else reason)
         self.residual = residual
+        self.preparation = preparation
+
+    def __reduce__(self):
+        return type(self), (self.residual, self.preparation)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,18 @@ class TestCli:
         code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "t_us,X,Y\n", "t_us,X,Y\n0.0,0.1,0.0\n0.1,abc,0.0\n", "t_us,X,Y\n0.0,0.1,0.0\n0.1,0.1\n"],
+        ids=["empty", "header-only", "non-numeric", "ragged"],
+    )
+    def test_malformed_pulse_csv_is_config_error(self, tmp_path, capsys, text):
+        pulse = tmp_path / "pulse.csv"
+        pulse.write_text(text)
+        code = main(["qpt", "--pulse", str(pulse), "--out", str(tmp_path / "chi.json")])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2
 

@@ -21,12 +21,26 @@ def make_plant(**config_kwargs):
     return SimPlant(params, SimPlantConfig(**config_kwargs))
 
 
-class DelegatingPlant(PlantInterface):
-    """A device-style plant: implements only the abstract calls, by forwarding.
+def reference_rabi_scan(plant: SimPlant, axis, times, repetitions=None):
+    """The scan point by point: re-prepare the state, rotate, measure; restore it at the end.
 
-    It does not override ``rabi_scan``, so scans take the default
-    point-by-point path, as they would on a real device.
+    ``SimPlant.rabi_scan`` must match it bit for bit, RNG state included.
+    It restores the state through the simulation-only calls, which stand in
+    for the replay a device makes at every point.
     """
+    initial = plant.current_state()
+    out = np.empty(times.size)
+    for i, t in enumerate(times):
+        plant.set_state(initial)
+        if t > 0.0:
+            plant.apply_ideal_rotation(axis, float(t))
+        out[i] = plant.measure_population("0", repetitions)
+    plant.set_state(initial)
+    return out
+
+
+class DelegatingPlant(PlantInterface):
+    """A device-style plant: forwards the five seam calls and scans point by point."""
 
     def __init__(self, inner: SimPlant):
         self.inner = inner
@@ -41,20 +55,11 @@ class DelegatingPlant(PlantInterface):
     def apply(self, pulse):
         self.inner.apply(pulse)
 
-    def measure_population(self, which, repetitions=None):
-        return self.inner.measure_population(which, repetitions)
-
-    def apply_ideal_rotation(self, axis, duration):
-        self.inner.apply_ideal_rotation(axis, duration)
-
     def apply_ideal_unitary(self, u):
         self.inner.apply_ideal_unitary(u)
 
-    def current_state(self):
-        return self.inner.current_state()
-
-    def set_state(self, rho):
-        self.inner.set_state(rho)
+    def rabi_scan(self, axis, times, repetitions=None):
+        return reference_rabi_scan(self.inner, axis, times, repetitions)
 
 
 def make_delegating_plant(**config_kwargs):
@@ -292,6 +297,20 @@ class TestRabiScan:
 
 
 class TestRabiScanSeam:
+    def test_interface_is_the_five_device_calls(self):
+        assert PlantInterface.__abstractmethods__ == {
+            "nominal", "prepare", "apply", "apply_ideal_unitary", "rabi_scan"
+        }
+
+        class NoScanPlant(PlantInterface):
+            nominal = DelegatingPlant.nominal
+            prepare = DelegatingPlant.prepare
+            apply = DelegatingPlant.apply
+            apply_ideal_unitary = DelegatingPlant.apply_ideal_unitary
+
+        with pytest.raises(TypeError):
+            NoScanPlant()
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -331,7 +350,7 @@ class TestRabiScanSeam:
             plant.apply(pulse)
         before = fast.current_state()
         got = fast.rabi_scan(axis, times, repetitions)
-        want = PlantInterface.rabi_scan(loop, axis, times, repetitions)
+        want = reference_rabi_scan(loop, axis, times, repetitions)
         assert np.array_equal(got, want)
         assert fast._rng.bit_generator.state == loop._rng.bit_generator.state
         assert fast.current_state() is before
@@ -354,7 +373,7 @@ class TestRabiScanSeam:
         scans = []
         for times in grids:
             got = fast.rabi_scan("y", times)
-            assert np.array_equal(got, PlantInterface.rabi_scan(loop, "y", times))
+            assert np.array_equal(got, reference_rabi_scan(loop, "y", times))
             scans.append(got)
         if noiseless:
             assert not np.array_equal(scans[0], scans[1])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -153,6 +154,23 @@ class TestRabiFit:
             fit_rabi(x_curve, y_curve, TIMES, OMEGA)
         assert str(err.value) == "bad measurement (non-finite Rabi scan sample)"
         assert math.isnan(err.value.residual)
+
+    @pytest.mark.parametrize(
+        "residual, preparation",
+        [(0.5, ""), (math.nan, ""), (math.nan, "preparation PSI_2")],
+        ids=["finite", "nan", "labelled"],
+    )
+    def test_fit_failure_survives_pickling(self, residual, preparation):
+        # a failure raised in a scan worker crosses the process pool as itself
+        error = FitFailure(residual, preparation)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is FitFailure
+        assert str(copy) == str(error)
+        assert copy.preparation == preparation
+        if math.isnan(residual):
+            assert math.isnan(copy.residual)
+        else:
+            assert copy.residual == residual
 
     @pytest.mark.parametrize("rabi_frequency", [0.0, -1.0, math.nan])
     def test_rabi_frequency_must_be_positive_and_finite(self, rabi_frequency):
