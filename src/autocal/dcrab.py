@@ -295,8 +295,6 @@ class OptimizationResult:
     best_fidelity: FidelityEstimate
     records: list[EvaluationRecord]
     ledger: DcrabLedger
-    loop_kind: str = "closed-loop"
-    data_kind: str = "experimental-sim"
 
     @property
     def fom_trace(self) -> np.ndarray:

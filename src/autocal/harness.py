@@ -84,6 +84,8 @@ def load_pulse_csv(path: Path | str) -> PulseWaveform:
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
         raise ContractError("pulse CSV requires a uniform time grid")
+    if abs(t[0]) > 1e-12 + 1e-9 * dt:  # the grid check's tolerance, for the step from 0
+        raise ContractError(f"pulse CSV times must start at 0, not {t[0]!r}")
     return PulseWaveform(float(t[-1] + dt), data[:, 1], data[:, 2])
 
 
@@ -111,8 +113,8 @@ def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
 
 def write_summary_json(result: OptimizationResult, path: Path | str) -> None:
     summary = {
-        "loop_kind": result.loop_kind,
-        "data_kind": result.data_kind,
+        "loop_kind": "closed-loop",
+        "data_kind": "experimental-sim",
         "best_fidelity": result.best_fidelity.value,
         "best_sigma": result.best_fidelity.sigma,
         "n_evaluations": result.n_evaluations,
@@ -288,6 +290,8 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     Per-run seeds derive from (master seed, cell coordinates, run index), so
     results are independent of execution order and worker count.
     """
+    if workers < 1:
+        raise ContractError("workers must be >= 1")
     config_dict = asdict(spec.base_config)
     config_dict.pop("seed", None)
     jobs = [
@@ -365,6 +369,8 @@ def run_openloop_comparison(
     (``t_rel`` row), evaluates it open-loop under the perturbation, and runs
     fresh closed-loop optimizations against the perturbed plant.
     """
+    if runs < 1:
+        raise ContractError("runs must be >= 1")
     scan_dir = Path(scan_dir)
     manifest_path = scan_dir / "manifest.json"
     if not manifest_path.exists():
@@ -374,6 +380,8 @@ def run_openloop_comparison(
         rabi, det_rels = float(manifest["rabi_frequency"]), [float(d) for d in manifest["det_rels"]]
     except (ValueError, KeyError, TypeError) as err:
         raise ContractError(f"bad scan manifest {manifest_path}: {err!r}") from err
+    if not det_rels:
+        raise ContractError(f"scan manifest {manifest_path} lists no det_rels")
     config = config or DcrabConfig()
     rows = []
     for j, det_rel in enumerate(det_rels):

@@ -271,28 +271,6 @@ def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> 
 # Pure-state projection
 
 
-def _pure_entries(xi, nu):
-    """Entries of rho(xi, nu) = Ry(nu) Rx(xi) |0><0| Rx(xi)^+ Ry(nu)^+."""
-    u = np.cos(np.asarray(xi) / 2.0)
-    v = -1j * np.sin(np.asarray(xi) / 2.0)
-    cn = np.cos(np.asarray(nu) / 2.0)
-    sn = np.sin(np.asarray(nu) / 2.0)
-    psi0 = cn * u - sn * v
-    psi1 = sn * u + cn * v
-    p00 = np.abs(psi0) ** 2
-    p01 = psi0 * np.conj(psi1)
-    p11 = np.abs(psi1) ** 2
-    return p00, p01, p11
-
-
-def _mle_residual(a, b, c, d, p00, p01, p11):
-    return (
-        (d - p00) ** 2
-        + (a - p11) ** 2
-        + 2.0 * ((b - p01.real) ** 2 + (c - p01.imag) ** 2)
-    )
-
-
 def mle_project(fit: RabiFit) -> StateEstimate:
     """Nearest pure state to the fitted entries, and its distance from them.
 
@@ -300,23 +278,31 @@ def mle_project(fit: RabiFit) -> StateEstimate:
     fitted matrix M and a pure state P, which equals ||M||^2 - 2 tr(M P) + 1;
     it is smallest for the projector onto the top eigenvector of M (the
     pure-state case of Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
-    That projector's Bloch vector is the unit vector along
-    r = (2b, -2c, d - a); r = 0 gives |0>.  The angles follow from
+    That projector is P = (I + n.sigma)/2 with n = r/|r| and
+    r = (2b, -2c, d - a); r = 0 gives |0>.  With M = s I + r.sigma/2 and
+    s = (a + d)/2, the residual is the sum of squares
+    2 (s - 1/2)^2 + (|r| - 1)^2 / 2 = ((a + d - 1)^2 + (|r| - 1)^2) / 2,
+    which does not cancel the way ||M||^2 - 2 lambda_max + 1 does near a
+    pure fit.  The angles follow from
     Bloch(xi, nu) = (cos xi sin nu, -sin xi, cos xi cos nu) with
     xi in [0, 2 pi), nu in [0, pi).  sigma = (1/4) sqrt(residual) measures
     how far the fit is from a pure state; it is not a standard error of the
     entries or of a fidelity read from them.
     """
     rx, ry, rz = 2.0 * fit.b, -2.0 * fit.c, fit.d - fit.a
-    if rx == ry == rz == 0.0:
-        xi = nu = 0.0
-    else:
-        nu = math.atan2(rx, rz) % math.pi
-        cos_xi = rx * math.sin(nu) + rz * math.cos(nu)
-        xi = math.atan2(-ry, cos_xi) % TWO_PI
-    p00, p01, p11 = _pure_entries(xi, nu)
-    residual = float(_mle_residual(fit.a, fit.b, fit.c, fit.d, p00, p01, p11))
-    rho = DensityMatrix(np.array([[p00, p01], [np.conj(p01), p11]], dtype=complex))
+    # u is r scaled exactly by a power of two, so a subnormal r keeps its direction
+    scale = math.ldexp(1.0, math.frexp(max(abs(rx), abs(ry), abs(rz)))[1])
+    ux, uy, uz = rx / scale, ry / scale, rz / scale
+    length = math.hypot(ux, uy, uz)
+    xi = nu = 0.0
+    nx, ny, nz = 0.0, 0.0, 1.0
+    if length > 0.0:
+        nu = math.atan2(ux, uz) % math.pi
+        cos_xi = ux * math.sin(nu) + uz * math.cos(nu)
+        xi = math.atan2(-uy, cos_xi) % TWO_PI
+        nx, ny, nz = ux / length, uy / length, uz / length
+    rho = DensityMatrix.from_entries(0.5 * (1.0 - nz), 0.5 * nx, -0.5 * ny, 0.5 * (1.0 + nz))
+    residual = 0.5 * ((fit.a + fit.d - 1.0) ** 2 + (scale * length - 1.0) ** 2)
     return StateEstimate(rho=rho, xi=xi, nu=nu, sigma=0.25 * math.sqrt(residual))
 
 

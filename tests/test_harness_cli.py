@@ -313,8 +313,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"det_rels": [0.0]}', '{"rabi_frequency": "fast", "det_rels": [0.0]}', "not json"],
-        ids=["missing-key", "non-numeric", "not-json"],
+        [
+            '{"det_rels": [0.0]}',
+            '{"rabi_frequency": "fast", "det_rels": [0.0]}',
+            "not json",
+            '{"rabi_frequency": 1.0, "det_rels": []}',
+        ],
+        ids=["missing-key", "non-numeric", "not-json", "no-det-rels"],
     )
     def test_compare_openloop_bad_manifest_is_config_error(self, tmp_path, text):
         scan = tmp_path / "scan"
@@ -324,10 +329,40 @@ class TestCli:
         code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
         assert code == 2
 
+    def test_compare_openloop_zero_runs_is_config_error(self, tmp_path, capsys):
+        # zero closed-loop runs have no mean or spread to report
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        table = tmp_path / "compare.csv"
+        code = main(
+            ["compare-openloop", "--scan", str(scan), "--runs", "0", "--out", str(table)] + self.FAST_ARGS
+        )
+        assert code == 2
+        assert "runs must be >= 1" in capsys.readouterr().err
+        assert not table.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_scan_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "scan"
+        code = main(
+            ["scan", "--workers", workers, "--runs", "1", "--out", str(out)] + self.FAST_ARGS
+        )
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
-        ["", "t_us,X,Y\n", "t_us,X,Y\n0.0,0.1,0.0\n0.1,abc,0.0\n", "t_us,X,Y\n0.0,0.1,0.0\n0.1,0.1\n"],
-        ids=["empty", "header-only", "non-numeric", "ragged"],
+        [
+            "",
+            "t_us,X,Y\n",
+            "t_us,X,Y\n0.0,0.1,0.0\n0.1,abc,0.0\n",
+            "t_us,X,Y\n0.0,0.1,0.0\n0.1,0.1\n",
+            "t_us,X,Y\n0.5,0.1,0.0\n0.75,0.1,0.0\n1.0,0.1,0.0\n",
+        ],
+        ids=["empty", "header-only", "non-numeric", "ragged", "late-start"],
     )
     def test_malformed_pulse_csv_is_config_error(self, tmp_path, capsys, text):
         pulse = tmp_path / "pulse.csv"

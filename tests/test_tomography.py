@@ -34,7 +34,6 @@ from autocal.tomography import (
     state_tomography,
     state_transfer_fom,
     _fit_rows,
-    _pure_entries,
     _varpro,
 )
 
@@ -47,6 +46,28 @@ def model_curves(a, b, c, d, omega=OMEGA, times=TIMES):
     theta = 2.0 * math.pi * omega * times
     base = (d + a) / 2.0 + (d - a) / 2.0 * np.cos(theta)
     return base - c * np.sin(theta), base + b * np.sin(theta)
+
+
+def _pure_entries(xi, nu):
+    """Entries of rho(xi, nu) = Ry(nu) Rx(xi) |0><0| Rx(xi)^+ Ry(nu)^+."""
+    u = np.cos(np.asarray(xi) / 2.0)
+    v = -1j * np.sin(np.asarray(xi) / 2.0)
+    cn = np.cos(np.asarray(nu) / 2.0)
+    sn = np.sin(np.asarray(nu) / 2.0)
+    psi0 = cn * u - sn * v
+    psi1 = sn * u + cn * v
+    p00 = np.abs(psi0) ** 2
+    p01 = psi0 * np.conj(psi1)
+    p11 = np.abs(psi1) ** 2
+    return p00, p01, p11
+
+
+def _mle_residual(a, b, c, d, p00, p01, p11):
+    return (
+        (d - p00) ** 2
+        + (a - p11) ** 2
+        + 2.0 * ((b - p01.real) ** 2 + (c - p01.imag) ** 2)
+    )
 
 
 def random_pure_state(rng):
@@ -357,8 +378,6 @@ class TestMleProject:
 
     def test_matches_brute_force_grid(self):
         # returned residual never exceeds a 1e6-point exhaustive torus scan
-        from autocal.tomography import _mle_residual, _pure_entries
-
         xi = np.linspace(0, 2 * math.pi, 1000, endpoint=False)
         nu = np.linspace(0, math.pi, 1000, endpoint=False)
         xi_g, nu_g = np.meshgrid(xi, nu, indexing="ij")
@@ -399,6 +418,31 @@ class TestClosedFormProjection:
         est = mle_project(RabiFit(a=a, b=b, c=c, d=d, omega=1.0, residual=0.0))
         expected = np.sum(np.abs(m) ** 2) - 2.0 * lam_max + 1.0
         assert (4.0 * est.sigma) ** 2 == pytest.approx(expected, abs=1e-12)
+        # rho is the pure state the returned angles name
+        p00, p01, p11 = _pure_entries(est.xi, est.nu)
+        angles_rho = np.array([[p00, p01], [np.conj(p01), p11]])
+        assert np.max(np.abs(est.rho.matrix - angles_rho)) <= 1e-15
+
+    def test_angles_match_the_unscaled_bloch_vector_formula(self):
+        # the power-of-two rescaling of r leaves xi and nu bit for bit as the
+        # angle formula applied to r itself gives them
+        rng = np.random.default_rng(41)
+        for a, b, c, d in rng.uniform([-0.2, -0.7, -0.7, -0.2], [1.2, 0.7, 0.7, 1.2], (2000, 4)):
+            rx, ry, rz = 2.0 * b, -2.0 * c, d - a
+            nu = math.atan2(rx, rz) % math.pi
+            xi = math.atan2(-ry, rx * math.sin(nu) + rz * math.cos(nu)) % (2.0 * math.pi)
+            est = mle_project(RabiFit(a=a, b=b, c=c, d=d, omega=1.0, residual=0.0))
+            assert (est.xi, est.nu) == (xi, nu)
+
+    def test_subnormal_bloch_vector_keeps_its_direction(self):
+        # r = (2, -2, 1) * 5e-324 is exact; unscaled, rx sin(nu) + rz cos(nu)
+        # rounds to a multiple of 5e-324 and tilts xi by about 0.05 rad
+        est = mle_project(RabiFit(a=0.0, b=5e-324, c=5e-324, d=5e-324, omega=1.0, residual=0.0))
+        n = np.array([2.0, -2.0, 1.0]) / 3.0
+        expected = 0.5 * np.array([[1 + n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], 1 - n[2]]])
+        assert np.max(np.abs(est.rho.matrix - expected)) <= 1e-15
+        p00, p01, p11 = _pure_entries(est.xi, est.nu)
+        assert np.max(np.abs(np.array([[p00, p01], [np.conj(p01), p11]]) - expected)) <= 1e-15
 
 
 class TestStateTomography:
