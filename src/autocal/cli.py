@@ -15,21 +15,18 @@ from pathlib import Path
 
 from .dcrab import DcrabConfig
 from .harness import (
-    DEFAULT_DET_REL_GRID,
     DEFAULT_RABI_FREQUENCY,
-    DEFAULT_T_REL_GRID,
     ScanSpec,
     load_pulse_csv,
-    params_from_relative,
     run_gate_demo,
     run_openloop_comparison,
     run_scan,
     run_state_transfer_demo,
-    write_chi_report,
+    write_chi_json,
     write_manifest,
 )
 from .plant import SimPlant, SimPlantConfig
-from .qubit import ContractError
+from .qubit import ContractError, PlantParams
 from .tomography import process_tomography
 
 EXIT_OK = 0
@@ -164,12 +161,7 @@ def _cmd_demo(args) -> int:
 def _cmd_scan(args) -> int:
     file_values = _read_config_file(args.config)
     config = _dcrab_config(args, file_values.get("dcrab"))
-    scan_kwargs = {
-        "t_rels": DEFAULT_T_REL_GRID,
-        "det_rels": DEFAULT_DET_REL_GRID,
-        "master_seed": config.seed,
-        **file_values.get("scan", {}),
-    }
+    scan_kwargs = {"master_seed": config.seed, **file_values.get("scan", {})}
     if args.runs is not None:
         scan_kwargs["runs"] = args.runs
     if args.seed is not None:
@@ -204,14 +196,11 @@ def _cmd_compare(args) -> int:
 def _cmd_qpt(args) -> int:
     pulse = load_pulse_csv(args.pulse)
     rabi = DEFAULT_RABI_FREQUENCY
-    t_rel = pulse.duration * 2.0 * rabi
-    params = params_from_relative(t_rel, args.detuning_rel, rabi)
     plant = SimPlant(
-        params,
+        PlantParams(rabi, args.detuning_rel * rabi, pulse.duration),
         SimPlantConfig(noiseless=not args.noise, repetitions=args.shots, seed=args.seed),
     )
-    chi = process_tomography(plant, pulse)
-    write_chi_report(chi, args.out)
+    write_chi_json(process_tomography(plant, pulse), args.out)
     write_manifest(
         Path(str(args.out) + ".manifest.json"),
         command="qpt",

@@ -48,6 +48,12 @@ class DcrabConfig:
             raise ContractError("target_fidelity must lie in (0, 1]")
         if self.n_t < 2:
             raise ContractError("n_t must be >= 2")
+        if not (math.isfinite(self.coefficient_scale) and self.coefficient_scale != 0.0):
+            raise ContractError("coefficient_scale must be finite and non-zero")
+        if not (math.isfinite(self.simplex_tol) and self.simplex_tol >= 0.0):
+            raise ContractError("simplex_tol must be finite and >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -396,14 +402,10 @@ def evaluate_pulse_open_loop(
     """Exact noiseless model evaluation of a fixed pulse.
 
     Used for the open-loop comparison: the pulse is judged against the given
-    (possibly perturbed) parameters without any feedback.  A non-unit
-    ``amplitude_scale`` distorts the channels exactly as the simulated drive
-    chain would, including re-clipping.
+    (possibly perturbed) parameters without any feedback, after the drive
+    chain of ``SimPlant.apply`` at gain ``amplitude_scale``.
     """
-    if amplitude_scale != 1.0:
-        x, y = clip_amplitudes(amplitude_scale * pulse.x, amplitude_scale * pulse.y)
-        pulse = PulseWaveform(pulse.duration, x, y)
-    u = total_propagator(pulse, params)
+    u = total_propagator(pulse.scaled(amplitude_scale), params)
     if fom == "state-transfer":
         value = abs(u[1, 0]) ** 2
     elif fom == "gate":

@@ -34,9 +34,6 @@ from .tomography import (
 
 DEFAULT_RABI_FREQUENCY = 1.0  # MHz; dynamics depend only on the relative quantities
 
-DEFAULT_T_REL_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
-DEFAULT_DET_REL_GRID = (0.0, 0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0)
-
 
 def derived_seed(master: int, *key: int) -> int:
     """Deterministic child seed from a master seed and integer coordinates."""
@@ -136,18 +133,15 @@ def write_manifest(path: Path | str, **resolved) -> None:
         json.dump(resolved, fh, indent=2, default=str)
 
 
-def write_chi_json(chi: ChiMatrix, path: Path | str, extra: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump({**chi.to_json_dict(), **extra}, fh, indent=2)
-
-
-def write_chi_report(chi: ChiMatrix, path: Path | str) -> None:
+def write_chi_json(chi: ChiMatrix, path: Path | str) -> None:
     """Measured chi beside the ideal G gate's chi and the published formula's deviation."""
-    extra = {
+    report = {
+        **chi.to_json_dict(),
         "ideal_chi": analytic_chi_of_unitary(GATE_G).to_json_dict(),
         "published_formula_identity_deviation": chi_construction_discrepancy(),
     }
-    write_chi_json(chi, path, extra)
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def _run_demo(
         write_summary_json(result, out / "summary.json")
         save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
         if chi is not None:
-            write_chi_report(chi, out / "chi.json")
+            write_chi_json(chi, out / "chi.json")
         write_manifest(
             out / "manifest.json",
             command=command,
@@ -233,8 +227,8 @@ def run_gate_demo(
 
 @dataclass(frozen=True)
 class ScanSpec:
-    t_rels: tuple[float, ...] = DEFAULT_T_REL_GRID
-    det_rels: tuple[float, ...] = DEFAULT_DET_REL_GRID
+    t_rels: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
+    det_rels: tuple[float, ...] = (0.0, 0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0)
     runs: int = 20
     base_config: DcrabConfig = field(default_factory=DcrabConfig)
     master_seed: int = 0
@@ -247,6 +241,8 @@ class ScanSpec:
             raise ContractError("grid values must be >= 0")
         if self.runs < 1:
             raise ContractError("runs must be >= 1")
+        if self.master_seed < 0:
+            raise ContractError("master_seed must be >= 0")
 
 
 @dataclass
@@ -271,17 +267,15 @@ class ScanResult:
                     )
 
 
-def _scan_run(args) -> tuple[int, int, int, float, float, np.ndarray, np.ndarray]:
-    (i, j, run, t_rel, det_rel, rabi, master_seed, config_dict) = args
-    params = params_from_relative(t_rel, det_rel, rabi)
-    config = DcrabConfig(**{**config_dict, "seed": derived_seed(master_seed, i, j, run)})
+def _scan_run(job: tuple[PlantParams, DcrabConfig]) -> tuple[float, PulseWaveform | None]:
+    """One seeded run of a scan cell: its best fidelity and pulse, or 0 and no pulse if it failed."""
+    params, config = job
     plant = SimPlant(params, SimPlantConfig(noiseless=True, seed=0))
     try:
         result = run_dcrab(plant, "state-transfer", config)
     except (FitFailure, ContractError):  # score 0, counted in ``failed``
-        return (i, j, run, 0.0, math.nan, np.array([]), np.array([]))
-    pulse = result.best_pulse
-    return (i, j, run, result.best_fidelity.value, pulse.duration, pulse.x, pulse.y)
+        return 0.0, None
+    return result.best_fidelity.value, result.best_pulse
 
 
 def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None) -> ScanResult:
@@ -292,13 +286,14 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     """
     if workers < 1:
         raise ContractError("workers must be >= 1")
-    config_dict = asdict(spec.base_config)
-    config_dict.pop("seed", None)
+    shape = (len(spec.t_rels), len(spec.det_rels))
+    keys = list(np.ndindex(shape + (spec.runs,)))
     jobs = [
-        (i, j, run, t_rel, det_rel, spec.rabi_frequency, spec.master_seed, config_dict)
-        for i, t_rel in enumerate(spec.t_rels)
-        for j, det_rel in enumerate(spec.det_rels)
-        for run in range(spec.runs)
+        (
+            params_from_relative(spec.t_rels[i], spec.det_rels[j], spec.rabi_frequency),
+            replace(spec.base_config, seed=derived_seed(spec.master_seed, i, j, run)),
+        )
+        for i, j, run in keys
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -306,19 +301,17 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     else:
         outcomes = [_scan_run(job) for job in jobs]
 
-    shape = (len(spec.t_rels), len(spec.det_rels))
     values = np.zeros(shape + (spec.runs,))
     failed = np.zeros(shape, dtype=int)
     best_pulses: dict[tuple[int, int], PulseWaveform] = {}
     best_values: dict[tuple[int, int], float] = {}
-    for (i, j, run, value, duration, x, y) in outcomes:
+    for (i, j, run), (value, pulse) in zip(keys, outcomes):
         values[i, j, run] = value
-        if math.isnan(duration):
+        if pulse is None:
             failed[i, j] += 1
-            continue
-        if value > best_values.get((i, j), -1.0):
+        elif value > best_values.get((i, j), -1.0):
             best_values[(i, j)] = value
-            best_pulses[(i, j)] = PulseWaveform(duration, x, y)
+            best_pulses[(i, j)] = pulse
 
     result = ScanResult(
         t_rels=spec.t_rels,
@@ -344,7 +337,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
             runs=spec.runs,
             master_seed=spec.master_seed,
             rabi_frequency=spec.rabi_frequency,
-            dcrab={**config_dict, "seed": spec.master_seed},
+            dcrab=asdict(replace(spec.base_config, seed=spec.master_seed)),
         )
     return result
 
@@ -390,23 +383,15 @@ def run_openloop_comparison(
             raise FileNotFoundError(f"missing scan pulse {pulse_path}")
         pulse = load_pulse_csv(pulse_path)
         nominal = params_from_relative(t_rel, det_rel, rabi)
-        perturbed = replace(nominal, detuning=nominal.detuning + detuning_offset_rel * rabi)
+        # the perturbed plant: the open-loop model and every closed-loop run see this one truth
+        truth = SimPlantConfig(detuning_offset=detuning_offset_rel * rabi, amplitude_scale=amplitude_scale)
         open_loop = evaluate_pulse_open_loop(
-            pulse, perturbed, "state-transfer", amplitude_scale=amplitude_scale
+            pulse, SimPlant(nominal, truth).true_params, "state-transfer", amplitude_scale=amplitude_scale
         )
         closed_vals = []
         for run in range(runs):
-            plant = SimPlant(
-                nominal,
-                SimPlantConfig(
-                    noiseless=True,
-                    detuning_offset=detuning_offset_rel * rabi,
-                    amplitude_scale=amplitude_scale,
-                    seed=0,
-                ),
-            )
             cfg = replace(config, seed=derived_seed(master_seed, j, run))
-            closed_vals.append(run_dcrab(plant, "state-transfer", cfg).best_fidelity.value)
+            closed_vals.append(run_dcrab(SimPlant(nominal, truth), "state-transfer", cfg).best_fidelity.value)
         rows.append(
             {
                 "det_rel": det_rel,

@@ -24,7 +24,6 @@ from .qubit import (
     _check_duration,
     _propagator_stack,
     apply_unitary,
-    clip_amplitudes,
     pauli_rotation_propagator,
     population,
     total_propagator,
@@ -64,8 +63,8 @@ class SimPlantConfig:
     """True-plant configuration, hidden from the closed loop.
 
     ``detuning_offset`` (MHz) and ``amplitude_scale`` model miscalibration
-    relative to the nominal parameters.  ``repetitions`` is the default shot
-    count per population measurement; ``noiseless`` returns exact
+    relative to the nominal parameters.  ``repetitions`` is the shot count
+    of every population measurement; ``noiseless`` returns exact
     probabilities instead.
     """
 
@@ -80,6 +79,8 @@ class SimPlantConfig:
             raise ContractError("amplitude_scale must be positive")
         if not self.noiseless and self.repetitions < 1:
             raise ContractError("repetitions must be >= 1 in noisy mode")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 class PlantInterface(ABC):
@@ -103,10 +104,10 @@ class PlantInterface(ABC):
         """Calibrated gate applied as an exact matrix action (e.g. G inverse)."""
 
     @abstractmethod
-    def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
+    def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
         """P(|0>, t) for each of ``times``: replay since ``prepare``, rotate about ``axis``, read out.
 
-        ``repetitions`` is the shot count per point; ``run_rabi_scan`` has checked ``times``.
+        The plant sets the shot count per point; ``run_rabi_scan`` has checked ``times``.
         """
 
 
@@ -159,12 +160,7 @@ class SimPlant(PlantInterface):
         rho = self._require_state()
         if self._last_pulse is not pulse:
             _check_duration(pulse, self._true)
-            x, y = clip_amplitudes(
-                self.config.amplitude_scale * pulse.x,
-                self.config.amplitude_scale * pulse.y,
-            )
-            distorted = PulseWaveform(pulse.duration, x, y)
-            self._last_unitary = total_propagator(distorted, self._true)
+            self._last_unitary = total_propagator(pulse.scaled(self.config.amplitude_scale), self._true)
             self._last_pulse = pulse
         self._state = apply_unitary(rho, self._last_unitary)
 
@@ -177,16 +173,16 @@ class SimPlant(PlantInterface):
     def apply_ideal_unitary(self, u: np.ndarray) -> None:
         self._state = apply_unitary(self._require_state(), u)
 
-    def measure_population(self, which: str, repetitions: int | None = None) -> float:
+    def measure_population(self, which: str) -> float:
         """Simulation only: one scan point's readout, kept for tests and per-call tracing."""
-        return self._sample(population(self._require_state(), which), repetitions)
+        return self._sample(population(self._require_state(), which))
 
-    def rabi_scan(self, axis: str, times: np.ndarray, repetitions: int | None = None) -> np.ndarray:
+    def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
         """The scan in one pass: the state is known, so no point needs a replay."""
         rho = self._require_state().matrix
         u, u_adjoint = _scan_rotations(*self._rotation_rates(axis), times.tobytes())
         p = (u @ rho @ u_adjoint)[:, 0, 0].real
-        return self._sample(np.clip(p, 0.0, 1.0), repetitions)
+        return self._sample(np.clip(p, 0.0, 1.0))
 
     def _rotation_rates(self, axis: str) -> tuple[float, float]:
         """(hx, hy) in rad/us of the resonant tomography drive about ``axis``."""
@@ -199,14 +195,11 @@ class SimPlant(PlantInterface):
             return 0.0, -omega
         raise ContractError(f"unknown rotation axis {axis!r}")
 
-    def _sample(self, p: float | np.ndarray, repetitions: int | None) -> float | np.ndarray:
-        """``p`` itself when noiseless, else the mean of binomial shots at ``p``."""
+    def _sample(self, p: float | np.ndarray) -> float | np.ndarray:
+        """``p`` itself when noiseless, else the mean of ``config.repetitions`` binomial shots at ``p``."""
         if self.config.noiseless:
             return p
-        reps = self.config.repetitions if repetitions is None else repetitions
-        if reps < 1:
-            raise ContractError("repetitions must be >= 1 in noisy mode")
-        return self._rng.binomial(reps, p) / reps
+        return self._rng.binomial(self.config.repetitions, p) / self.config.repetitions
 
     def current_state(self) -> DensityMatrix:
         """Simulation only: the exact state, which tests compare against."""
@@ -233,12 +226,7 @@ def default_rabi_times(rabi_frequency: float, n_points: int = 41) -> np.ndarray:
     return np.linspace(0.0, 2.0 / rabi_frequency, n_points)
 
 
-def run_rabi_scan(
-    plant: PlantInterface,
-    axis: str,
-    times: np.ndarray,
-    repetitions: int | None = None,
-) -> np.ndarray:
+def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.ndarray:
     """Sample P(|0>, t) after rotating the current state about ``axis``.
 
     Checks the axis ('x' or 'y') and the time grid (non-empty, finite,
@@ -254,4 +242,4 @@ def run_rabi_scan(
         raise ContractError("times must be finite and non-negative")
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise ContractError("times must be strictly increasing")
-    return plant.rabi_scan(axis, times, repetitions)
+    return plant.rabi_scan(axis, times)

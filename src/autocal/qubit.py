@@ -179,6 +179,19 @@ class PulseWaveform:
     def zero(duration: float, n_t: int = 1000) -> "PulseWaveform":
         return PulseWaveform.constant(0.0, 0.0, duration, n_t)
 
+    def scaled(self, gain: float) -> "PulseWaveform":
+        """The pulse out of a drive chain of amplitude ``gain``: both channels scaled, then re-clipped."""
+        return PulseWaveform(self.duration, *clip_amplitudes(gain * self.x, gain * self.y))
+
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled pulse has read-only channels too
+        return type(self), (self.duration, self.x, self.y)
+
+
+def _eigen_radius(m: np.ndarray) -> float:
+    """Half the eigenvalue gap of a Hermitian 2x2: its eigenvalues are the mean diagonal +/- this."""
+    return math.sqrt(0.25 * (m[0, 0].real - m[1, 1].real) ** 2 + abs(m[0, 1]) ** 2)
+
 
 def clip_amplitudes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale both channels at samples violating |X + Y| <= 1."""
@@ -207,12 +220,7 @@ class DensityMatrix:
             raise ContractError("trace must equal 1")
         if abs(m[0, 1] - np.conj(m[1, 0])) > 1e-10:
             raise ContractError("matrix must be Hermitian")
-        # closed-form eigenvalues of a Hermitian 2x2
-        mean = 0.5 * (m[0, 0].real + m[1, 1].real)
-        radius = math.sqrt(
-            0.25 * (m[0, 0].real - m[1, 1].real) ** 2 + abs(m[0, 1]) ** 2
-        )
-        if mean - radius < -1e-9:
+        if 0.5 * (m[0, 0].real + m[1, 1].real) - _eigen_radius(m) < -1e-9:
             raise ContractError("state is not positive semidefinite")
 
     # Entry names follow the tomography fit parameterisation:
@@ -250,12 +258,8 @@ class DensityMatrix:
         )
 
     def trace_distance(self, other: "DensityMatrix") -> float:
-        diff = self.matrix - other.matrix
-        # eigenvalues of a traceless Hermitian 2x2 are +/- radius
-        radius = math.sqrt(
-            0.25 * (diff[0, 0].real - diff[1, 1].real) ** 2 + abs(diff[0, 1]) ** 2
-        )
-        return radius * 2.0 * 0.5  # sum of |eigenvalues| / 2
+        # the difference is traceless, so its eigenvalues are +/- the radius: half their summed magnitudes
+        return _eigen_radius(self.matrix - other.matrix)
 
 
 def population(rho: DensityMatrix, which: str) -> float:

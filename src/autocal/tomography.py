@@ -310,19 +310,15 @@ def mle_project(fit: RabiFit) -> StateEstimate:
 # Plant-driven tomography and figures of merit
 
 
-def state_tomography(
-    plant: PlantInterface,
-    repetitions: int | None = None,
-) -> StateEstimate:
+def state_tomography(plant: PlantInterface) -> StateEstimate:
     """Reconstruct the plant's current state from x and y Rabi scans."""
     times = default_rabi_times(plant.nominal.rabi_frequency)
-    fit = fit_rabi(*_scan_pair(plant, times, repetitions), times, plant.nominal.rabi_frequency)
-    return mle_project(fit)
+    return mle_project(fit_rabi(*_scan_pair(plant, times), times, plant.nominal.rabi_frequency))
 
 
-def _scan_pair(plant: PlantInterface, times: np.ndarray, repetitions: int | None = None) -> tuple:
+def _scan_pair(plant: PlantInterface, times: np.ndarray) -> tuple:
     """The x and then the y Rabi scan of the plant's current state."""
-    return run_rabi_scan(plant, "x", times, repetitions), run_rabi_scan(plant, "y", times, repetitions)
+    return run_rabi_scan(plant, "x", times), run_rabi_scan(plant, "y", times)
 
 
 def state_transfer_fom(

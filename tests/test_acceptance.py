@@ -290,9 +290,9 @@ def test_criterion_10_tomography_roundtrip(acceptance):
     hits = 0
     for trial in range(100):
         truth = DensityMatrix.from_state_vector(random_pure_state(rng))
-        plant = make_plant(noiseless=False, seed=trial)
+        plant = make_plant(noiseless=False, seed=trial, repetitions=10_000)
         plant.set_state(truth)
-        est = state_tomography(plant, repetitions=10_000)
+        est = state_tomography(plant)
         if est.rho.trace_distance(truth) < 0.05:
             hits += 1
 

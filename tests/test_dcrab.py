@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import autocal.dcrab
+import autocal.plant
 from autocal.dcrab import (
     BasisTerm,
     DcrabConfig,
@@ -17,7 +18,7 @@ from autocal.dcrab import (
     run_dcrab,
 )
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
-from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes
+from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes, total_propagator
 from autocal.tomography import FidelityEstimate
 
 
@@ -41,6 +42,22 @@ class TestConfig:
             DcrabConfig(target_fidelity=0.0)
         with pytest.raises(ContractError):
             DcrabConfig(target_fidelity=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coefficient_scale", 0.0),  # a zero-size simplex never moves
+            ("coefficient_scale", math.nan),
+            ("coefficient_scale", math.inf),
+            ("simplex_tol", math.nan),  # would switch convergence off
+            ("simplex_tol", math.inf),
+            ("simplex_tol", -0.01),
+            ("seed", -1),
+        ],
+    )
+    def test_values_that_ruin_a_run_rejected(self, field, value):
+        with pytest.raises(ContractError):
+            DcrabConfig(**{field: value})
 
 
 class TestDrawBasis:
@@ -437,8 +454,8 @@ class TestRunDcrab:
         # a real plant may return a non-finite population: that evaluation
         # fails its fit and scores 0, and the loop runs on
         class FlakyPlant(SimPlant):
-            def rabi_scan(self, axis, times, repetitions=None):
-                values = super().rabi_scan(axis, times, repetitions)
+            def rabi_scan(self, axis, times):
+                values = super().rabi_scan(axis, times)
                 self.scans += 1
                 if self.scans == 5:  # the x scan of the third evaluation
                     values = values.copy()
@@ -464,8 +481,8 @@ class TestRunDcrab:
                 self.prepares += 1
                 self.prepared = idx
 
-            def rabi_scan(self, axis, times, repetitions=None):
-                values = super().rabi_scan(axis, times, repetitions)
+            def rabi_scan(self, axis, times):
+                values = super().rabi_scan(axis, times)
                 third_evaluation = (self.prepares - 1) // 4 == 2
                 if third_evaluation and self.prepared is PreparationIndex.PSI_3 and axis == "y":
                     values = values.copy()
@@ -547,3 +564,28 @@ class TestOpenLoopEvaluation:
         pulse = PulseWaveform.zero(1.0)
         with pytest.raises(ContractError):
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), fom="energy")
+
+    def test_model_and_plant_propagate_the_same_channels(self, monkeypatch):
+        # clipping leaves some samples one ulp above |X + Y| = 1; at unit gain
+        # the model must re-clip them exactly as the plant's drive chain does
+        params = PlantParams(1.0, 0.3, 0.75)
+        rng = np.random.default_rng(0)
+        ledger = DcrabLedger(duration=params.duration)
+        ledger.active = draw_basis(1, params.duration, rng)
+        pulse = assemble_pulse(ledger, rng.uniform(-3.0, 3.0, 4), params, 200)
+        assert np.max(np.abs(pulse.x + pulse.y)) > 1.0
+        propagated = []
+
+        def recording(waveform, plant_params):
+            propagated.append(waveform)
+            return total_propagator(waveform, plant_params)
+
+        monkeypatch.setattr(autocal.plant, "total_propagator", recording)
+        monkeypatch.setattr(autocal.dcrab, "total_propagator", recording)
+        plant = SimPlant(params, SimPlantConfig())
+        plant.prepare(PreparationIndex.PSI_1)
+        plant.apply(pulse)
+        evaluate_pulse_open_loop(pulse, plant.true_params)
+        driven, modelled = propagated
+        assert driven.x.tobytes() == modelled.x.tobytes()
+        assert driven.y.tobytes() == modelled.y.tobytes()

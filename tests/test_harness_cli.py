@@ -152,6 +152,14 @@ class TestScan:
         parallel = run_scan(self.SPEC, workers=2)
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.best, parallel.best)
+        assert np.array_equal(serial.failed, parallel.failed)
+        assert serial.best_pulses.keys() == parallel.best_pulses.keys()
+        for cell, pulse in parallel.best_pulses.items():
+            assert pulse.duration == serial.best_pulses[cell].duration
+            assert pulse.x.tobytes() == serial.best_pulses[cell].x.tobytes()
+            assert pulse.y.tobytes() == serial.best_pulses[cell].y.tobytes()
+            # pickled back from a worker, yet as immutable as any pulse
+            assert not pulse.x.flags.writeable and not pulse.y.flags.writeable
 
     @pytest.mark.parametrize("error", [ContractError("rejected"), FitFailure(0.5)])
     def test_run_failure_counts_in_failed(self, monkeypatch, error):
@@ -264,8 +272,15 @@ class TestCli:
             ("scan", "workers = 2"),
             ("dcrab", "superiteration = 2"),
             ("dcrab", "target_fidelity = high"),
+            ("dcrab", "seed = -1"),
+            ("scan", "master_seed = -1"),
+            ("dcrab", "coefficient_scale = 0"),
+            ("dcrab", "simplex_tol = nan"),
         ],
-        ids=["plant-section", "output-section", "unknown-scan-key", "unknown-dcrab-key", "bad-value"],
+        ids=[
+            "plant-section", "output-section", "unknown-scan-key", "unknown-dcrab-key", "bad-value",
+            "negative-seed", "negative-master-seed", "zero-coefficient-scale", "nan-simplex-tol",
+        ],
     )
     def test_config_file_errors_exit_2(self, tmp_path, section, line):
         sections = {
@@ -370,6 +385,23 @@ class TestCli:
         code = main(["qpt", "--pulse", str(pulse), "--out", str(tmp_path / "chi.json")])
         assert code == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "gate", "scan", "compare-openloop", "qpt"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        # numpy would reject it only once the run starts, as a runtime failure
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
+        pulse = scan / "pulse_t1.5_d0.csv"
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        extra = {
+            "scan": ["--runs", "1"] + self.FAST_ARGS,
+            "compare-openloop": ["--scan", str(scan), "--runs", "1"] + self.FAST_ARGS,
+            "qpt": ["--pulse", str(pulse)],
+        }.get(command, self.FAST_ARGS)
+        code = main([command, "--seed", "-1", "--out", str(tmp_path / "out")] + extra)
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2

@@ -21,7 +21,7 @@ def make_plant(**config_kwargs):
     return SimPlant(params, SimPlantConfig(**config_kwargs))
 
 
-def reference_rabi_scan(plant: SimPlant, axis, times, repetitions=None):
+def reference_rabi_scan(plant: SimPlant, axis, times):
     """The scan point by point: re-prepare the state, rotate, measure; restore it at the end.
 
     ``SimPlant.rabi_scan`` must match it bit for bit, RNG state included.
@@ -34,7 +34,7 @@ def reference_rabi_scan(plant: SimPlant, axis, times, repetitions=None):
         plant.set_state(initial)
         if t > 0.0:
             plant.apply_ideal_rotation(axis, float(t))
-        out[i] = plant.measure_population("0", repetitions)
+        out[i] = plant.measure_population("0")
     plant.set_state(initial)
     return out
 
@@ -58,8 +58,8 @@ class DelegatingPlant(PlantInterface):
     def apply_ideal_unitary(self, u):
         self.inner.apply_ideal_unitary(u)
 
-    def rabi_scan(self, axis, times, repetitions=None):
-        return reference_rabi_scan(self.inner, axis, times, repetitions)
+    def rabi_scan(self, axis, times):
+        return reference_rabi_scan(self.inner, axis, times)
 
 
 def make_delegating_plant(**config_kwargs):
@@ -171,35 +171,30 @@ class TestMeasurement:
         assert plant.measure_population("0") == pytest.approx(0.5, abs=1e-15)
 
     def test_certain_outcome_survives_noise(self):
-        plant = make_plant(noiseless=False, seed=5)
+        plant = make_plant(noiseless=False, seed=5, repetitions=100)
         plant.prepare(PreparationIndex.PSI_1)
-        assert plant.measure_population("0", repetitions=100) == 1.0
+        assert plant.measure_population("0") == 1.0
 
     def test_noisy_estimate_concentrates(self):
         # binomial at p = 0.5, 1e4 shots: sigma = 0.005, test at 4 sigma
-        plant = make_plant(noiseless=False, seed=11)
+        plant = make_plant(noiseless=False, seed=11, repetitions=10_000)
         plant.prepare(PreparationIndex.PSI_4)
-        estimates = [plant.measure_population("0", repetitions=10_000) for _ in range(50)]
+        estimates = [plant.measure_population("0") for _ in range(50)]
         assert all(abs(e - 0.5) < 0.02 for e in estimates)
 
     def test_noisy_converges_with_repetitions(self):
-        plant = make_plant(noiseless=False, seed=2)
-        plant.prepare(PreparationIndex.PSI_3)
-        coarse = np.std([plant.measure_population("0", 100) for _ in range(100)])
-        fine = np.std([plant.measure_population("0", 100_000) for _ in range(100)])
-        assert fine < coarse / 10.0
+        def spread(repetitions):
+            plant = make_plant(noiseless=False, seed=2, repetitions=repetitions)
+            plant.prepare(PreparationIndex.PSI_3)
+            return np.std([plant.measure_population("0") for _ in range(100)])
 
-    def test_zero_repetitions_rejected(self):
-        plant = make_plant(noiseless=False)
-        plant.prepare(PreparationIndex.PSI_1)
-        with pytest.raises(ContractError):
-            plant.measure_population("0", repetitions=0)
+        assert spread(100_000) < spread(100) / 10.0
 
     def test_fixed_seed_reproducible(self):
         def sequence():
-            plant = make_plant(noiseless=False, seed=123)
+            plant = make_plant(noiseless=False, seed=123, repetitions=1000)
             plant.prepare(PreparationIndex.PSI_4)
-            return [plant.measure_population("0", 1000) for _ in range(20)]
+            return [plant.measure_population("0") for _ in range(20)]
 
         assert sequence() == sequence()
 
@@ -288,13 +283,6 @@ class TestRabiScan:
         with pytest.raises(ContractError):
             run_rabi_scan(factory(), "x", default_rabi_times(1.0))
 
-    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant])
-    def test_zero_repetitions_rejected_in_noisy_mode(self, factory):
-        plant = factory(noiseless=False)
-        plant.prepare(PreparationIndex.PSI_1)
-        with pytest.raises(ContractError):
-            run_rabi_scan(plant, "x", default_rabi_times(1.0), repetitions=0)
-
 
 class TestRabiScanSeam:
     def test_interface_is_the_five_device_calls(self):
@@ -321,7 +309,7 @@ class TestRabiScanSeam:
         idx=st.sampled_from(list(PreparationIndex)),
         axis=st.sampled_from(["x", "y"]),
         noiseless=st.booleans(),
-        repetitions=st.one_of(st.none(), st.integers(1, 20_000)),
+        repetitions=st.integers(1, 20_000),
         n_points=st.integers(1, 60),
         uniform_grid=st.booleans(),
     )
@@ -340,6 +328,7 @@ class TestRabiScanSeam:
         config = SimPlantConfig(
             detuning_offset=float(rng.uniform(-0.5, 0.5)),
             amplitude_scale=float(rng.uniform(0.8, 1.2)),
+            repetitions=repetitions,
             noiseless=noiseless,
             seed=seed,
         )
@@ -349,8 +338,8 @@ class TestRabiScanSeam:
             plant.prepare(idx)
             plant.apply(pulse)
         before = fast.current_state()
-        got = fast.rabi_scan(axis, times, repetitions)
-        want = reference_rabi_scan(loop, axis, times, repetitions)
+        got = fast.rabi_scan(axis, times)
+        want = reference_rabi_scan(loop, axis, times)
         assert np.array_equal(got, want)
         assert fast._rng.bit_generator.state == loop._rng.bit_generator.state
         assert fast.current_state() is before
@@ -408,3 +397,5 @@ def test_config_validation():
         SimPlantConfig(amplitude_scale=0.0)
     with pytest.raises(ContractError):
         SimPlantConfig(noiseless=False, repetitions=0)
+    with pytest.raises(ContractError):
+        SimPlantConfig(seed=-1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +129,22 @@ class TestPulseWaveform:
         x[:] = 5.0
         y[0] = -5.0
         assert np.all(pulse.x == 0.3) and np.all(pulse.y == 0.1)
+
+    def test_pickle_round_trip_keeps_channels_read_only(self):
+        # a scan's worker processes send their best pulses back pickled
+        pulse = PulseWaveform(0.8, np.linspace(-0.4, 0.4, 25), np.full(25, 0.1))
+        copy = pickle.loads(pickle.dumps(pulse))
+        assert copy.duration == pulse.duration
+        assert copy.x.tobytes() == pulse.x.tobytes() and copy.y.tobytes() == pulse.y.tobytes()
+        assert not copy.x.flags.writeable and not copy.y.flags.writeable
+
+    def test_scaled_is_the_reclipped_drive(self):
+        pulse = PulseWaveform(1.0, np.array([0.5, 0.2, -0.6]), np.array([0.3, 0.1, -0.1]))
+        scaled = pulse.scaled(1.5)
+        x, y = clip_amplitudes(1.5 * pulse.x, 1.5 * pulse.y)
+        assert scaled.duration == pulse.duration
+        assert np.array_equal(scaled.x, x) and np.array_equal(scaled.y, y)
+        assert np.max(np.abs(scaled.x + scaled.y)) == 1.0
 
 
 class TestEvolveDensity:

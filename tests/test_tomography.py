@@ -474,9 +474,9 @@ class TestStateTomography:
         hits = 0
         for _ in range(20):
             truth = DensityMatrix.from_state_vector(random_pure_state(rng))
-            plant = make_plant(noiseless=False, seed=int(rng.integers(1 << 31)))
+            plant = make_plant(noiseless=False, seed=int(rng.integers(1 << 31)), repetitions=10_000)
             plant.set_state(truth)
-            est = state_tomography(plant, repetitions=10_000)
+            est = state_tomography(plant)
             if est.rho.trace_distance(truth) < 0.05:
                 hits += 1
         assert hits >= 19
@@ -788,8 +788,8 @@ class BadPreparationPlant(SimPlant):
         super().prepare(idx)
         self.prepared = idx
 
-    def rabi_scan(self, axis, times, repetitions=None):
-        values = super().rabi_scan(axis, times, repetitions)
+    def rabi_scan(self, axis, times):
+        values = super().rabi_scan(axis, times)
         if self.prepared is self.junk_at:
             values = np.random.default_rng(len(values)).uniform(0.0, 1.0, values.size)
         if self.prepared is self.nan_at:
