@@ -337,21 +337,19 @@ def run_dcrab(
     ledger = DcrabLedger(duration=params.duration)
 
     records: list[EvaluationRecord] = []
-    best_value = -math.inf
     best_estimate: FidelityEstimate | None = None
     best_pulse: PulseWaveform | None = None
     superiteration = 0
 
     def objective(coeffs: np.ndarray) -> float:
-        nonlocal best_value, best_estimate, best_pulse
+        nonlocal best_estimate, best_pulse
         pulse = assemble_pulse(ledger, coeffs, params, config.n_t)
         try:
             estimate = fom(plant, pulse)
         except FitFailure as err:
             log.warning("evaluation failed (%s); scoring 0", err)
             estimate = FidelityEstimate(0.0, 0.0)
-        if estimate.value > best_value:
-            best_value = estimate.value
+        if best_estimate is None or estimate.value > best_estimate.value:
             best_estimate = estimate
             best_pulse = pulse
         records.append(
@@ -361,7 +359,7 @@ def run_dcrab(
                 coefficients=np.asarray(coeffs, dtype=float).copy(),
                 value=estimate.value,
                 sigma=estimate.sigma,
-                running_best=best_value,
+                running_best=best_estimate.value,
             )
         )
         return estimate.value
@@ -378,12 +376,12 @@ def run_dcrab(
         )
         ledger.frozen.append(ledger.active.with_coeffs(nm.best_x))
         ledger.active = None
-        if best_value >= config.target_fidelity:
+        if best_estimate is not None and best_estimate.value >= config.target_fidelity:
             break
 
     if best_pulse is None or best_estimate is None:
-        # FidelityEstimate clamps every value into [0, 1], so this means the
-        # optimizer returned without evaluating; a raise survives python -O
+        # the first evaluation sets both, so the optimizer returned without
+        # evaluating; a raise survives python -O
         raise RuntimeError("no evaluation produced a figure of merit to keep")
     return OptimizationResult(
         best_pulse=best_pulse,

@@ -64,8 +64,8 @@ class SimPlantConfig:
 
     ``detuning_offset`` (MHz) and ``amplitude_scale`` model miscalibration
     relative to the nominal parameters.  ``repetitions`` is the shot count
-    of every population measurement; ``noiseless`` returns exact
-    probabilities instead.
+    of every population measurement, at least 1 in either mode;
+    ``noiseless`` returns exact probabilities instead.
     """
 
     detuning_offset: float = 0.0
@@ -75,10 +75,10 @@ class SimPlantConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.amplitude_scale <= 0.0:
-            raise ContractError("amplitude_scale must be positive")
-        if not self.noiseless and self.repetitions < 1:
-            raise ContractError("repetitions must be >= 1 in noisy mode")
+        if not (math.isfinite(self.amplitude_scale) and self.amplitude_scale > 0.0):
+            raise ContractError("amplitude_scale must be positive and finite")
+        if self.repetitions < 1:
+            raise ContractError("repetitions must be >= 1")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
 
@@ -230,8 +230,9 @@ def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.nda
     """Sample P(|0>, t) after rotating the current state about ``axis``.
 
     Checks the axis ('x' or 'y') and the time grid (non-empty, finite,
-    non-negative, strictly increasing) and hands the scan to
-    ``plant.rabi_scan``.
+    non-negative, strictly increasing), hands the scan to ``plant.rabi_scan``
+    and checks that it returns one float per time; non-finite samples pass
+    here and fail the Rabi fit as bad measurements.
     """
     if axis not in ("x", "y"):
         raise ContractError(f"unknown rotation axis {axis!r}")
@@ -242,4 +243,7 @@ def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.nda
         raise ContractError("times must be finite and non-negative")
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise ContractError("times must be strictly increasing")
-    return plant.rabi_scan(axis, times)
+    scan = plant.rabi_scan(axis, times)
+    if not isinstance(scan, np.ndarray) or scan.dtype.kind != "f" or scan.shape != (times.size,):
+        raise ContractError(f"rabi_scan must return a 1-d float array of {times.size} values")
+    return scan

@@ -209,61 +209,49 @@ def fit_rabi(
     return fit
 
 
-def _fit_row(target: np.ndarray, times: np.ndarray, rabi_frequency: float):
-    """``fit_rabi`` of one target (2n,) as a coroutine: it yields each frequency of
-    the refine, is sent ``_varpro``'s (params, SSE, gradient) there, and returns
-    the fit or its ``FitFailure``.
-    """
-    if not np.all(np.isfinite(target)):
-        return FitFailure(math.nan)
-    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
-    params = pinv @ target
-    sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
-    k = int(np.argmin(sses))
-    visited = [(sses[k], omegas[k], params[k])]
-    xtol = _REFINE_TOL * rabi_frequency
-    w1 = float(omegas[k])
-    p, sse, g1 = yield w1
-    visited.append((sse, w1, p))
-    step = -math.copysign(omegas[1] - omegas[0], g1)
-    for _ in range(_REFINE_STEPS):
-        w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
-        p, sse, g1 = yield w1
-        visited.append((sse, w1, p))
-        if abs(w1 - w0) <= xtol or g1 == g0:
-            break
-        step = -g1 * (w1 - w0) / (g1 - g0)
-
-    sse, omega, (s, q, c, b) = min(visited, key=lambda v: v[0])
-    rms = math.sqrt(sse / (2 * times.size))
-    if rms > _RESIDUAL_THRESHOLD:
-        return FitFailure(rms)
-    omega = float(omega)
-    at_edge = bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol)
-    return RabiFit(float(s - q), float(b), float(c), float(s + q), omega, rms, at_edge)
-
-
 def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> list:
     """``fit_rabi`` of each row (x curve, then y curve) of ``targets`` (k, 2n), unchecked.
 
-    The rows refine in lockstep, one ``_varpro`` call per round; a failed
-    row gives its ``FitFailure`` in place of a fit.
+    The rows refine in lockstep, one ``_varpro`` call per round on the rows
+    still refining; a failed row gives its ``FitFailure`` in place of a fit.
     """
+    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
+    xtol = _REFINE_TOL * rabi_frequency
     fits: list[RabiFit | FitFailure | None] = [None] * len(targets)
-    live = {r: _fit_row(target, times, rabi_frequency) for r, target in enumerate(targets)}
-    sent = dict.fromkeys(live)  # row -> what its coroutine is sent next
-    while live:
-        asks = {}  # row -> the frequency it asks for
-        for r in list(live):
-            try:
-                asks[r] = live[r].send(sent[r])
-            except StopIteration as done:
-                fits[r] = done.value
-                del live[r]
-        if asks:
-            asking = targets if len(asks) == len(targets) else targets[list(asks)]
-            params, sses, grads = _varpro(np.array(list(asks.values())), times, asking)
-            sent = dict(zip(asks, zip(params, sses, grads.tolist())))
+    best, secant = {}, {}  # row -> lowest-SSE (sse, omega, params); row -> (w0, g0, w1)
+    for r, target in enumerate(targets):
+        if not np.all(np.isfinite(target)):
+            fits[r] = FitFailure(math.nan)
+            continue
+        params = pinv @ target
+        sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
+        k = int(np.argmin(sses))
+        best[r] = (sses[k], omegas[k], params[k])
+        secant[r] = (math.nan, math.nan, float(omegas[k]))
+    live, round_ = list(secant), 0
+    while live and round_ <= _REFINE_STEPS:
+        asking = targets if len(live) == len(targets) else targets[live]
+        params, sses, grads = _varpro(np.array([secant[r][2] for r in live]), times, asking)
+        refining = []
+        for r, p, sse, g1 in zip(live, params, sses, grads.tolist()):
+            w0, g0, w1 = secant[r]
+            if sse < best[r][0]:
+                best[r] = (sse, w1, p)
+            if round_ == 0:
+                step = -math.copysign(omegas[1] - omegas[0], g1)
+            elif abs(w1 - w0) <= xtol or g1 == g0:
+                continue
+            else:
+                step = -g1 * (w1 - w0) / (g1 - g0)
+            secant[r] = (w1, g1, min(max(w1 + step, omegas[0]), omegas[-1]))
+            refining.append(r)
+        live, round_ = refining, round_ + 1
+    for r, (sse, omega, (s, q, c, b)) in best.items():
+        rms = math.sqrt(sse / (2 * times.size))
+        at_edge = bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol)
+        fits[r] = FitFailure(rms) if rms > _RESIDUAL_THRESHOLD else RabiFit(
+            float(s - q), float(b), float(c), float(s + q), float(omega), rms, at_edge
+        )
     return fits
 
 

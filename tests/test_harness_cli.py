@@ -13,6 +13,7 @@ import pytest
 import autocal.cli
 import autocal.dcrab
 import autocal.harness
+import autocal.plant
 from autocal.cli import main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
 from autocal.harness import (
@@ -402,6 +403,26 @@ class TestCli:
         code = main([command, "--seed", "-1", "--out", str(tmp_path / "out")] + extra)
         assert code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "gate", "qpt"])
+    def test_zero_shots_is_config_error(self, tmp_path, capsys, command):
+        # noiseless runs took any shot count and recorded it in their manifests
+        pulse = tmp_path / "pulse.csv"
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        extra = ["--pulse", str(pulse)] if command == "qpt" else self.FAST_ARGS
+        code = main([command, "--shots", "0", "--out", str(tmp_path / "out")] + extra)
+        assert code == 2
+        assert "repetitions must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["invert", "gate"])
+    def test_short_rabi_scan_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # a plant that breaks the rabi_scan contract is a configuration error, not a crash
+        scan = autocal.plant.SimPlant.rabi_scan
+        monkeypatch.setattr(autocal.plant.SimPlant, "rabi_scan", lambda *a: scan(*a)[:-1])
+        code = main([command, "--out", str(tmp_path / "out")] + self.FAST_ARGS)
+        assert code == 2
+        assert "rabi_scan must return" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2

@@ -399,3 +399,9 @@ def test_config_validation():
         SimPlantConfig(noiseless=False, repetitions=0)
     with pytest.raises(ContractError):
         SimPlantConfig(seed=-1)
+    for scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(ContractError):
+            SimPlantConfig(amplitude_scale=scale)
+    for repetitions in (0, -5):  # noiseless plants record their shot count too
+        with pytest.raises(ContractError):
+            SimPlantConfig(repetitions=repetitions)

@@ -1,12 +1,14 @@
 import math
 import pickle
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import autocal.qubit
+import autocal.tomography
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import (
     ContractError,
@@ -33,6 +35,10 @@ from autocal.tomography import (
     process_tomography,
     state_tomography,
     state_transfer_fom,
+    _REFINE_STEPS,
+    _REFINE_TOL,
+    _RESIDUAL_THRESHOLD,
+    _coarse_grid,
     _fit_rows,
     _varpro,
 )
@@ -733,6 +739,132 @@ class TestLockstepFit:
                 assert got[1].residual > 0.15 and math.isnan(got[-1].residual)
 
 
+def reference_fit_row(target: np.ndarray, times: np.ndarray, rabi_frequency: float):
+    """``fit_rabi`` of one target (2n,) as a coroutine: it yields each frequency of
+    the refine, is sent ``_varpro``'s (params, SSE, gradient) there, and returns
+    the fit or its ``FitFailure``.
+
+    The reference of ``reference_fit_rows``, which ``_fit_rows`` must match bit for bit.
+    """
+    if not np.all(np.isfinite(target)):
+        return FitFailure(math.nan)
+    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
+    params = pinv @ target
+    sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
+    k = int(np.argmin(sses))
+    visited = [(sses[k], omegas[k], params[k])]
+    xtol = _REFINE_TOL * rabi_frequency
+    w1 = float(omegas[k])
+    p, sse, g1 = yield w1
+    visited.append((sse, w1, p))
+    step = -math.copysign(omegas[1] - omegas[0], g1)
+    for _ in range(_REFINE_STEPS):
+        w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
+        p, sse, g1 = yield w1
+        visited.append((sse, w1, p))
+        if abs(w1 - w0) <= xtol or g1 == g0:
+            break
+        step = -g1 * (w1 - w0) / (g1 - g0)
+
+    sse, omega, (s, q, c, b) = min(visited, key=lambda v: v[0])
+    rms = math.sqrt(sse / (2 * times.size))
+    if rms > _RESIDUAL_THRESHOLD:
+        return FitFailure(rms)
+    omega = float(omega)
+    at_edge = bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol)
+    return RabiFit(float(s - q), float(b), float(c), float(s + q), omega, rms, at_edge)
+
+
+def reference_fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> list:
+    """Drive one ``reference_fit_row`` per row of ``targets`` in lockstep, one
+    ``_varpro`` call per round; a failed row gives its ``FitFailure``.
+    """
+    fits: list[RabiFit | FitFailure | None] = [None] * len(targets)
+    live = {r: reference_fit_row(t, times, rabi_frequency) for r, t in enumerate(targets)}
+    sent = dict.fromkeys(live)  # row -> what its coroutine is sent next
+    while live:
+        asks = {}  # row -> the frequency it asks for
+        for r in list(live):
+            try:
+                asks[r] = live[r].send(sent[r])
+            except StopIteration as done:
+                fits[r] = done.value
+                del live[r]
+        if asks:
+            asking = targets if len(asks) == len(targets) else targets[list(asks)]
+            params, sses, grads = _varpro(np.array(list(asks.values())), times, asking)
+            sent = dict(zip(asks, zip(params, sses, grads.tolist())))
+    return fits
+
+
+# one row of a batch: its kind, omega / OMEGA, Bloch radius and direction
+fit_row_specs = st.tuples(
+    st.sampled_from(["state", "state", "state", "diverging", "nan"]),
+    st.floats(0.4, 1.6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@st.composite
+def fit_batches(draw):
+    """Targets (k, 2n) of 1-7 rows: mixed states at omega in [0.4, 1.6] * OMEGA,
+    noiseless or at 100-10^4 shots, with diverging (junk) and NaN rows mixed in."""
+    specs = draw(st.lists(fit_row_specs, min_size=1, max_size=7))
+    shots = draw(st.one_of(st.none(), st.integers(100, 10_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = []
+    for kind, omega_rel, radius, polar, azimuth in specs:
+        rz = radius * math.cos(polar)
+        rx = radius * math.sin(polar) * math.cos(azimuth)
+        ry = radius * math.sin(polar) * math.sin(azimuth)
+        # the entries whose Bloch vector (2b, -2c, d - a) is r, as in mle_project
+        x, y = model_curves((1 - rz) / 2, rx / 2, -ry / 2, (1 + rz) / 2, omega_rel * OMEGA)
+        if shots is not None:
+            x = rng.binomial(shots, np.clip(x, 0, 1)) / shots
+            y = rng.binomial(shots, np.clip(y, 0, 1)) / shots
+        target = np.concatenate([x, y])
+        if kind == "diverging":
+            target = rng.uniform(0.0, 1.0, 2 * TIMES.size)
+        elif kind == "nan":
+            target[rng.integers(2 * TIMES.size)] = np.nan
+        targets.append(target)
+    return np.array(targets)
+
+
+def signed_gradients(varpro):
+    """``varpro`` with each SSE gradient reduced to its sign."""
+
+    def signed(omegas, times, target):
+        params, sses, grads = varpro(omegas, times, target)
+        return params, sses, np.sign(grads)
+
+    return signed
+
+
+class TestLoopMatchesCoroutine:
+    @given(fit_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_fit_rows_match_reference_bitwise(self, targets):
+        got = _fit_rows(targets, TIMES, OMEGA)
+        want = reference_fit_rows(targets, TIMES, OMEGA)
+        assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
+
+    @given(fit_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_gradients_stop_as_in_reference(self, targets):
+        # two equal successive gradients almost never occur on real data;
+        # sign-only gradients make them common, so the stop on them is exercised
+        signed = signed_gradients(_varpro)
+        this_module = sys.modules[__name__]
+        with mock.patch.object(autocal.tomography, "_varpro", signed):
+            with mock.patch.object(this_module, "_varpro", signed):
+                got = _fit_rows(targets, TIMES, OMEGA)
+                want = reference_fit_rows(targets, TIMES, OMEGA)
+        assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
+
+
 def per_preparation_estimates(plant, pulse, inverse=None):
     """The per-preparation path: prepare, apply, scan and fit one input at a time."""
     estimates = []
@@ -815,3 +947,31 @@ class TestBatchedFailure:
             process_tomography(plant, exact_g_pulse())
         assert str(err.value) == "preparation PSI_3: bad measurement (non-finite Rabi scan sample)"
         assert math.isnan(err.value.residual)
+
+
+class ReshapedScanPlant(SimPlant):
+    """Hands each scan on through ``reshape``, which may break the ``rabi_scan`` contract."""
+
+    def __init__(self, reshape):
+        super().__init__(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig())
+        self.reshape = reshape
+
+    def rabi_scan(self, axis, times):
+        return self.reshape(super().rabi_scan(axis, times))
+
+
+class TestScanContract:
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda v: v[:-1], lambda v: v[None], list, lambda v: (v > 0.5).astype(int)],
+        ids=["short", "2-d", "list", "integer"],
+    )
+    @pytest.mark.parametrize("gate", [False, True], ids=["state-transfer", "gate"])
+    def test_misshapen_scan_is_contract_error(self, reshape, gate):
+        plant = ReshapedScanPlant(reshape)
+        with pytest.raises(ContractError, match="rabi_scan must return"):
+            if gate:
+                gate_fom(plant, exact_g_pulse(), GATE_G)
+            else:
+                state_transfer_fom(plant, exact_g_pulse())
+
