@@ -78,15 +78,23 @@ class BasisTerm:
             raise ContractError("coefficient vector must have length 4N")
         return replace(self, coeffs=coeffs.copy())
 
-    def channel_profiles(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unwindowed sum over components for the X and Y channels."""
-        n = self.n_components
-        ax, bx, ay, by = (self.coeffs[i * n : (i + 1) * n] for i in range(4))
+    def basis(self, times: np.ndarray) -> tuple[np.ndarray, ...]:
+        """sin and cos of the X phases, then of the Y phases: four (N, n_t) arrays."""
         phase_x = np.outer(self.freqs_x, times)
         phase_y = np.outer(self.freqs_y, times)
-        gx = ax @ np.sin(phase_x) + bx @ np.cos(phase_x)
-        gy = ay @ np.sin(phase_y) + by @ np.cos(phase_y)
-        return gx, gy
+        return np.sin(phase_x), np.cos(phase_x), np.sin(phase_y), np.cos(phase_y)
+
+    def channel_profiles(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unwindowed sum over components for the X and Y channels."""
+        return _weigh(self.coeffs, self.basis(times))
+
+
+def _weigh(coeffs: np.ndarray, basis: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y profiles: each coefficient block weighs its rows of ``BasisTerm.basis``."""
+    n = basis[0].shape[0]
+    ax, bx, ay, by = (coeffs[i * n : (i + 1) * n] for i in range(4))
+    sin_x, cos_x, sin_y, cos_y = basis
+    return ax @ sin_x + bx @ cos_x, ay @ sin_y + by @ cos_y
 
 
 def draw_basis(n_components: int, duration: float, rng: np.random.Generator) -> BasisTerm:
@@ -116,9 +124,9 @@ class DcrabLedger:
     duration: float
     frozen: list[BasisTerm] = field(default_factory=list)
     active: BasisTerm | None = None
-    # the frozen terms' summed profiles and the window, for the last set of terms and time grid:
-    # (key, gx, gy, window, the keyed terms, kept alive so that their ids stay unique)
-    _frozen_sums: tuple = field(default=(None,), init=False, repr=False, compare=False)
+    # what the last set of terms and time grid fix, built once per super-iteration:
+    # (key, frozen gx, frozen gy, window, active basis, the keyed terms: kept alive so their ids stay unique)
+    _cache: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def window(self, times: np.ndarray) -> np.ndarray:
         return np.sin(math.pi * times / self.duration)
@@ -127,17 +135,18 @@ class DcrabLedger:
         self, times: np.ndarray, active_coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        key = ([id(term) for term in self.frozen], times.tobytes())
-        if self._frozen_sums[0] != key:
+        key = ([id(term) for term in self.frozen], id(self.active), times.tobytes())
+        if self._cache[0] != key:
             gx = np.zeros_like(times)
             gy = np.zeros_like(times)
             for term in self.frozen:
                 tx, ty = term.channel_profiles(times)
                 gx += tx
                 gy += ty
-            self._frozen_sums = (key, gx, gy, self.window(times), tuple(self.frozen))
-        _, gx, gy, w, _ = self._frozen_sums
-        tx, ty = self.active.with_coeffs(active_coeffs).channel_profiles(times)
+            terms = (*self.frozen, self.active)
+            self._cache = (key, gx, gy, self.window(times), self.active.basis(times), terms)
+        _, gx, gy, w, basis, _ = self._cache
+        tx, ty = _weigh(self.active.with_coeffs(active_coeffs).coeffs, basis)
         return w * (gx + tx), w * (gy + ty)
 
 

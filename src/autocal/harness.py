@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -296,6 +295,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
         for i, j, run in keys
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # lazily: only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_scan_run, jobs, chunksize=1))
     else:

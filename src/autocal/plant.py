@@ -239,9 +239,9 @@ def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.nda
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ContractError("times must be non-empty")
-    if not np.all(np.isfinite(times)) or np.any(times < 0.0):
+    if not np.isfinite(times).all() or (times < 0.0).any():
         raise ContractError("times must be finite and non-negative")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
+    if times.size > 1 and not (np.diff(times) > 0.0).all():
         raise ContractError("times must be strictly increasing")
     scan = plant.rabi_scan(axis, times)
     if not isinstance(scan, np.ndarray) or scan.dtype.kind != "f" or scan.shape != (times.size,):

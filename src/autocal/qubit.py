@@ -16,6 +16,7 @@ only for the total.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -69,7 +70,14 @@ def _cayley_klein(
     half = 0.5 * norm * dt
     # sin(half)/norm written via sinc so the zero-generator limit is exact
     s = 0.5 * dt * np.sinc(half / math.pi)
-    return np.cos(half) - 1j * s * hz, -1j * s * hx - s * hy
+    # cos(half) - i s hz and -i s hx - s hy part by part, with the zeros' signs of complex arithmetic
+    alpha = np.empty(half.shape, dtype=complex)
+    beta = np.empty(half.shape, dtype=complex)
+    alpha.real = np.cos(half)
+    alpha.imag = 0.0 - s * hz
+    beta.real = 0.0 * hx + 0.0 * s - s * hy
+    beta.imag = 0.0 - s * hx
+    return alpha, beta
 
 
 def _su2(alpha, beta) -> np.ndarray:
@@ -188,9 +196,9 @@ class PulseWaveform:
         return type(self), (self.duration, self.x, self.y)
 
 
-def _eigen_radius(m: np.ndarray) -> float:
-    """Half the eigenvalue gap of a Hermitian 2x2: its eigenvalues are the mean diagonal +/- this."""
-    return math.sqrt(0.25 * (m[0, 0].real - m[1, 1].real) ** 2 + abs(m[0, 1]) ** 2)
+def _eigen_radius(m00: complex, m01: complex, m10: complex, m11: complex) -> float:
+    """Half the eigenvalue gap of a Hermitian 2x2 (m10 unread): the eigenvalues are mean diagonal +/- this."""
+    return math.sqrt(0.25 * (m00.real - m11.real) ** 2 + abs(m01) ** 2)
 
 
 def clip_amplitudes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,14 +222,21 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2) or not np.all(np.isfinite(m.view(float))):
+        entries = m.ravel().tolist() if m.shape == (2, 2) else [math.nan]
+        if not all(map(cmath.isfinite, entries)):
             raise ContractError("density matrix must be a finite 2x2 array")
-        if abs(m[0, 0].real + m[1, 1].real - 1.0) > 1e-10 or abs(m[0, 0].imag) > 1e-10 or abs(m[1, 1].imag) > 1e-10:
+        m00, m01, m10, m11 = entries
+        if abs(m00.real + m11.real - 1.0) > 1e-10 or abs(m00.imag) > 1e-10 or abs(m11.imag) > 1e-10:
             raise ContractError("trace must equal 1")
-        if abs(m[0, 1] - np.conj(m[1, 0])) > 1e-10:
-            raise ContractError("matrix must be Hermitian")
-        if 0.5 * (m[0, 0].real + m[1, 1].real) - _eigen_radius(m) < -1e-9:
-            raise ContractError("state is not positive semidefinite")
+        message = "matrix must be Hermitian"
+        try:  # python's abs and ** raise OverflowError where numpy's gave inf, failing the check
+            if abs(m01 - m10.conjugate()) <= 1e-10:
+                message = "state is not positive semidefinite"
+                if 0.5 * (m00.real + m11.real) - _eigen_radius(*entries) >= -1e-9:
+                    return
+        except OverflowError:
+            pass
+        raise ContractError(message)
 
     # Entry names follow the tomography fit parameterisation:
     # d and a are the |0> and |-1> populations, b + ic is <0| rho |-1>.
@@ -259,7 +274,7 @@ class DensityMatrix:
 
     def trace_distance(self, other: "DensityMatrix") -> float:
         # the difference is traceless, so its eigenvalues are +/- the radius: half their summed magnitudes
-        return _eigen_radius(self.matrix - other.matrix)
+        return _eigen_radius(*(self.matrix - other.matrix).ravel().tolist())
 
 
 def population(rho: DensityMatrix, which: str) -> float:

@@ -150,8 +150,8 @@ def _varpro(
     # dA/dw p on the x rows, then the y rows: (q sin + c cos, q sin - b cos) * (-2 pi t)
     c_minus_b = params[:, 2:] * _X_THEN_Y_SIGNS  # (k, 2, 1)
     slope = -TWO_PI * times * (params[:, 1:2] * sin_t[:, None] + c_minus_b * cos_t[:, None])
-    grad = 2.0 * np.sum(residual * slope.reshape(residual.shape), axis=1)
-    return params[..., 0], np.sum(residual**2, axis=1), grad
+    grad = 2.0 * (residual * slope.reshape(residual.shape)).sum(axis=1)
+    return params[..., 0], (residual**2).sum(axis=1), grad
 
 
 @functools.lru_cache(maxsize=4)
@@ -220,11 +220,11 @@ def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> 
     fits: list[RabiFit | FitFailure | None] = [None] * len(targets)
     best, secant = {}, {}  # row -> lowest-SSE (sse, omega, params); row -> (w0, g0, w1)
     for r, target in enumerate(targets):
-        if not np.all(np.isfinite(target)):
+        if not np.isfinite(target).all():
             fits[r] = FitFailure(math.nan)
             continue
-        params = pinv @ target
-        sses = np.sum(((design @ params[..., None])[..., 0] - target) ** 2, axis=1)
+        params = (pinv.reshape(-1, target.size) @ target).reshape(-1, 4)  # one product for all omegas
+        sses = (((design @ params[..., None])[..., 0] - target) ** 2).sum(axis=1)
         k = int(np.argmin(sses))
         best[r] = (sses[k], omegas[k], params[k])
         secant[r] = (math.nan, math.nan, float(omegas[k]))

@@ -180,6 +180,67 @@ class TestAssemblePulse:
         check(params, 200)
 
 
+class TestLedgerCache:
+    """``update_profiles`` reuses the active term's basis; each result must equal the uncached sum."""
+
+    @staticmethod
+    def uncached_profiles(ledger, times, coeffs):
+        """Every term's profile summed afresh, in ledger order, then windowed."""
+        gx, gy = np.zeros_like(times), np.zeros_like(times)
+        for term in [*ledger.frozen, ledger.active.with_coeffs(coeffs)]:
+            tx, ty = term.channel_profiles(times)
+            gx += tx
+            gy += ty
+        w = ledger.window(times)
+        return w * gx, w * gy
+
+    @given(
+        ops=st.lists(st.sampled_from(["eval", "swap", "redraw", "grid", "freeze"]), max_size=12),
+        n_components=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_uncached_profiles_bitwise(self, ops, n_components, seed):
+        rng = np.random.default_rng(seed)
+        duration = 0.75
+        ledger = DcrabLedger(duration=duration)
+        ledger.active = draw_basis(n_components, duration, rng)
+        times = np.arange(300) * (duration / 300)
+        for op in ["eval", *ops]:
+            if op == "swap":
+                ledger.active = draw_basis(n_components, duration, rng)
+            elif op == "redraw":
+                # the dropped term's memory is free before the next term is made, so
+                # CPython may give the new term its id: only the cache keeps that id taken
+                ledger.active = None
+                ledger.active = draw_basis(n_components, duration, rng)
+            elif op == "grid":
+                n_t = int(rng.choice([2, 300, 5000]))
+                times = np.arange(n_t) * (rng.uniform(0.5, 1.0) * duration / n_t)
+            elif op == "freeze":
+                ledger.frozen.append(ledger.active.with_coeffs(rng.normal(size=4 * n_components)))
+                ledger.active = None
+                ledger.active = draw_basis(n_components, duration, rng)
+            for _ in range(2):
+                coeffs = rng.normal(scale=0.5, size=4 * n_components)
+                gx, gy = ledger.update_profiles(times, coeffs)
+                x, y = self.uncached_profiles(ledger, times, coeffs)
+                assert gx.tobytes() == x.tobytes() and gy.tobytes() == y.tobytes()
+        with pytest.raises(ContractError, match="length 4N"):
+            ledger.update_profiles(times, np.zeros(4 * n_components + 1))
+
+    def test_channel_profiles_match_the_direct_formula(self):
+        # the shared basis and weighing give the per-channel sums written out in full
+        rng = np.random.default_rng(4)
+        times = np.arange(500) * (0.75 / 500)
+        term = draw_basis(3, 0.75, rng).with_coeffs(rng.normal(size=12))
+        ax, bx, ay, by = term.coeffs.reshape(4, 3)
+        phase_x, phase_y = np.outer(term.freqs_x, times), np.outer(term.freqs_y, times)
+        gx, gy = term.channel_profiles(times)
+        assert gx.tobytes() == (ax @ np.sin(phase_x) + bx @ np.cos(phase_x)).tobytes()
+        assert gy.tobytes() == (ay @ np.sin(phase_y) + by @ np.cos(phase_y)).tobytes()
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
         objective = lambda v: -((v[0] - 1.0) ** 2 + (v[1] - 2.0) ** 2)

@@ -470,6 +470,22 @@ print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     assert proc.stdout.strip() == ""
 
 
+def test_import_does_not_load_multiprocessing():
+    # only a scan with more than one worker starts a process pool, so a cold
+    # ``import autocal`` must not pay for multiprocessing and its imports
+    code = "import sys, autocal; print('multiprocessing' in sys.modules)"
+    src = str(Path(autocal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def load_benchmark_tracing(monkeypatch):
     """``perfbench/tracing.py``, imported by path; the benchmark is read, never changed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autocal.qubit import (
+    _cayley_klein,
     _propagator_stack,
     ContractError,
     DensityMatrix,
@@ -96,6 +98,101 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ContractError):
             DensityMatrix.from_entries(a=-0.1, b=0.0, c=0.0, d=1.1)
+
+
+def reference_validate(matrix) -> str | None:
+    """The validator on numpy scalars, as it was before it read Python scalars: the rejection message, or None."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (2, 2) or not np.all(np.isfinite(m.view(float))):
+        return "density matrix must be a finite 2x2 array"
+    # numpy scalars overflow to inf (with a warning) where Python numbers raise OverflowError
+    with np.errstate(over="ignore"):
+        if abs(m[0, 0].real + m[1, 1].real - 1.0) > 1e-10 or abs(m[0, 0].imag) > 1e-10 or abs(m[1, 1].imag) > 1e-10:
+            return "trace must equal 1"
+        if abs(m[0, 1] - np.conj(m[1, 0])) > 1e-10:
+            return "matrix must be Hermitian"
+        radius = math.sqrt(0.25 * (m[0, 0].real - m[1, 1].real) ** 2 + abs(m[0, 1]) ** 2)
+        if 0.5 * (m[0, 0].real + m[1, 1].real) - radius < -1e-9:
+            return "state is not positive semidefinite"
+    return None
+
+
+def validation_message(matrix) -> str | None:
+    try:
+        DensityMatrix(matrix)
+    except ContractError as err:
+        return str(err)
+    return None
+
+
+def near_state(r, length, trace_offset, hermitian_offset, diagonal_imag):
+    """A state with Bloch vector of the given length along ``r``, then perturbed by the given offsets."""
+    rx, ry, rz = np.array(r) * (length / max(np.linalg.norm(r), 1e-300))
+    t = 1.0 + trace_offset
+    return np.array(
+        [
+            [0.5 * (t + rz) + 1j * diagonal_imag, 0.5 * (rx - 1j * ry) + hermitian_offset],
+            [0.5 * (rx + 1j * ry), 0.5 * (t - rz) - 1j * diagonal_imag],
+        ]
+    )
+
+
+class TestDensityMatrixValidator:
+    """The validator accepts and rejects what ``reference_validate`` does, with the same message."""
+
+    ODD = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-10, -1e-10, 0.5, 1.0, 1e200, -1e200, 1.7e308]
+
+    @given(parts=st.lists(st.one_of(st.sampled_from(ODD), st.floats(-2.0, 2.0), st.floats()), min_size=8, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_entries(self, parts):
+        m = np.empty((2, 2), dtype=complex)
+        m.real, m.imag = np.reshape(parts[0::2], (2, 2)), np.reshape(parts[1::2], (2, 2))
+        assert validation_message(m) == reference_validate(m)
+
+    @given(
+        r=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        length=st.one_of(st.floats(0.0, 1.0), st.floats(1.0 + 1e-9, 1.0 + 3e-9), st.just(1.0 + 2e-9)),
+        trace_offset=st.one_of(st.just(0.0), st.floats(-2e-10, 2e-10), st.sampled_from([1e-10, -1e-10])),
+        hermitian_offset=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2e-10)),
+        diagonal_imag=st.one_of(st.just(0.0), st.floats(-2e-10, 2e-10)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_near_the_boundaries(self, r, length, trace_offset, hermitian_offset, diagonal_imag):
+        m = near_state(r, length, trace_offset, hermitian_offset, diagonal_imag)
+        assert validation_message(m) == reference_validate(m)
+
+    @pytest.mark.parametrize("index, part", list(itertools.product(range(4), ("real", "imag"))))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry(self, index, part, value):
+        m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        getattr(m.reshape(4)[index:index + 1], part)[...] = value
+        assert validation_message(m) == reference_validate(m) == "density matrix must be a finite 2x2 array"
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(3), "density matrix must be a finite 2x2 array"),
+            (np.array([1.0, 0.0, 0.0, 0.0]), "density matrix must be a finite 2x2 array"),
+            ([[0.5, 1e200], [1e200, 0.5]], "state is not positive semidefinite"),
+            ([[0.5, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.5]], "matrix must be Hermitian"),
+            ([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]], "state is not positive semidefinite"),
+            ([[1.0, 0.0], [0.0, 5e-11]], None),
+            ([[1.0, 0.0], [0.0, 2e-10]], "trace must equal 1"),
+            ([[0.5, 0.5 + 1e-10j], [0.5, 0.5]], None),
+        ],
+    )
+    def test_fixed_cases(self, matrix, message):
+        assert validation_message(matrix) == reference_validate(matrix) == message
+
+    def test_trace_distance_matches_numpy_scalars(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            r1, r2 = rng.normal(size=(2, 3))
+            s1 = DensityMatrix(near_state(r1, rng.uniform(), 0.0, 0j, 0.0))
+            s2 = DensityMatrix(near_state(r2, rng.uniform(), 0.0, 0j, 0.0))
+            d = s1.matrix - s2.matrix
+            reference = math.sqrt(0.25 * (d[0, 0].real - d[1, 1].real) ** 2 + abs(d[0, 1]) ** 2)
+            assert s1.trace_distance(s2) == reference
 
 
 class TestPulseWaveform:
@@ -256,6 +353,50 @@ class TestCayleyKleinProduct:
         alpha, beta = u[0]
         assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= bound
         assert u[1, 0] == -np.conj(beta) and u[1, 1] == np.conj(alpha)
+
+
+def reference_cayley_klein(hx, hy, hz, dt):
+    """The complex-expression form that ``_cayley_klein`` writes part by part."""
+    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+    half = 0.5 * norm * dt
+    s = 0.5 * dt * np.sinc(half / math.pi)
+    return np.cos(half) - 1j * s * hz, -1j * s * hx - s * hy
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCayleyKleinParts:
+    def test_signed_zeros_and_zero_generators(self):
+        # every sign combination of zero, tiny and ordinary components, at steps
+        # small and large enough that sin(half)/norm changes sign
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.3, -1.3, 7.0, -7.0]
+        hx, hy, hz = (np.array(c) for c in zip(*itertools.product(values, repeat=3)))
+        for dt in (0.0, 1e-3, 0.7, 2.5, 3.0, np.linspace(0.0, 3.0, hx.size)):
+            for got, want in zip(_cayley_klein(hx, hy, hz, dt), reference_cayley_klein(hx, hy, hz, dt)):
+                assert same_bits(got, want)
+
+    @given(
+        n_t=st.integers(1, 6000),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.floats(0.0, 1.0),
+        scale=st.floats(1e-3, 100.0),
+        per_sample_dt=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_complex_expressions(self, n_t, seed, zero_share, scale, per_sample_dt):
+        rng = np.random.default_rng(seed)
+
+        def generator():
+            h = rng.normal(scale=scale, size=n_t)
+            h[rng.random(n_t) < zero_share] = 0.0
+            return h * np.where(rng.random(n_t) < 0.5, 1.0, -1.0)  # negative zeros too
+
+        dt = rng.uniform(0.0, 3.0, n_t) if per_sample_dt else float(rng.uniform(1e-4, 3.0))
+        hx, hy, hz = generator(), generator(), generator()
+        for got, want in zip(_cayley_klein(hx, hy, hz, dt), reference_cayley_klein(hx, hy, hz, dt)):
+            assert same_bits(got, want)
 
 
 class TestPopulation:
