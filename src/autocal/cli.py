@@ -160,13 +160,13 @@ def _cmd_demo(args) -> int:
 
 def _cmd_scan(args) -> int:
     file_values = _read_config_file(args.config)
-    config = _dcrab_config(args, file_values.get("dcrab"))
-    scan_kwargs = {"master_seed": config.seed, **file_values.get("scan", {})}
+    scan_kwargs = file_values.get("scan", {})
+    dcrab_values = file_values.get("dcrab", {})
+    if "master_seed" in scan_kwargs:  # [scan] master_seed beats [dcrab] seed; --seed beats both
+        dcrab_values["seed"] = scan_kwargs.pop("master_seed")
     if args.runs is not None:
         scan_kwargs["runs"] = args.runs
-    if args.seed is not None:
-        scan_kwargs["master_seed"] = args.seed
-    spec = ScanSpec(base_config=config, **scan_kwargs)
+    spec = ScanSpec(base_config=_dcrab_config(args, dcrab_values), **scan_kwargs)
     result = run_scan(spec, workers=args.workers, out_dir=args.out)
     print(f"scan of {len(spec.t_rels)}x{len(spec.det_rels)} cells, {spec.runs} runs each")
     print(f"grid mean fidelity {result.mean.mean():.4f}; outputs written to {args.out}")
@@ -174,14 +174,12 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _dcrab_config(args)
     rows = run_openloop_comparison(
         args.scan,
         amplitude_scale=args.amp_scale,
         detuning_offset_rel=args.detuning_offset_rel,
-        config=config,
+        config=_dcrab_config(args),
         runs=args.runs,
-        master_seed=config.seed,
         out_path=args.out,
     )
     for row in rows:

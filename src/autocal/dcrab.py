@@ -154,7 +154,7 @@ def assemble_pulse(
     ledger: DcrabLedger,
     active_coeffs: np.ndarray,
     params: PlantParams,
-    n_t: int = 1000,
+    n_t: int,
 ) -> PulseWaveform:
     """Waveform for the given active coefficients, amplitude constraint enforced.
 
@@ -179,7 +179,6 @@ class NelderMeadResult:
     best_x: np.ndarray
     best_value: float
     trace: list[float]
-    n_evals: int
 
 
 class _Stop(Exception):
@@ -274,7 +273,7 @@ def nelder_mead(
     except _Stop:
         pass
     i = int(np.argmax(values))
-    return NelderMeadResult(vertices[i].copy(), float(values[i]), trace, len(trace))
+    return NelderMeadResult(vertices[i].copy(), float(values[i]), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,6 @@ def make_fom(kind: str):
 
 @dataclass
 class EvaluationRecord:
-    index: int
     superiteration: int
     coefficients: np.ndarray
     value: float
@@ -363,7 +361,6 @@ def run_dcrab(
             best_pulse = pulse
         records.append(
             EvaluationRecord(
-                index=len(records),
                 superiteration=superiteration,
                 coefficients=np.asarray(coeffs, dtype=float).copy(),
                 value=estimate.value,

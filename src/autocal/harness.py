@@ -91,11 +91,11 @@ def load_pulse_csv(path: Path | str) -> PulseWaveform:
 
 def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
     with open(path, "w") as fh:
-        for rec in result.records:
+        for index, rec in enumerate(result.records):
             fh.write(
                 json.dumps(
                     {
-                        "index": rec.index,
+                        "index": index,
                         "superiteration": rec.superiteration,
                         "coefficients": rec.coefficients.tolist(),
                         "fom": rec.value,
@@ -159,7 +159,6 @@ def _run_demo(
     noisy: bool,
     shots: int,
     out_dir: Path | str | None,
-    plant_seed: int | None,
 ) -> tuple[OptimizationResult, ChiMatrix | None]:
     """One closed-loop run on a fresh plant; a gate run adds process tomography."""
     fom, seed_key = _DEMOS[command]
@@ -169,7 +168,7 @@ def _run_demo(
         SimPlantConfig(
             noiseless=not noisy,
             repetitions=shots,
-            seed=derived_seed(config.seed, seed_key) if plant_seed is None else plant_seed,
+            seed=derived_seed(config.seed, seed_key),
         ),
     )
     result = run_dcrab(plant, fom, config)
@@ -203,9 +202,8 @@ def run_state_transfer_demo(
     noisy: bool = False,
     shots: int = 10_000,
     out_dir: Path | str | None = None,
-    plant_seed: int | None = None,
 ) -> OptimizationResult:
-    return _run_demo("invert", config, det_rel, t_rel, noisy, shots, out_dir, plant_seed)[0]
+    return _run_demo("invert", config, det_rel, t_rel, noisy, shots, out_dir)[0]
 
 
 def run_gate_demo(
@@ -215,9 +213,8 @@ def run_gate_demo(
     shots: int = 10_000,
     t_rel: float = 1.5,
     out_dir: Path | str | None = None,
-    plant_seed: int | None = None,
 ) -> tuple[OptimizationResult, ChiMatrix]:
-    return _run_demo("gate", config, det_rel, t_rel, noisy, shots, out_dir, plant_seed)
+    return _run_demo("gate", config, det_rel, t_rel, noisy, shots, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,6 @@ class ScanSpec:
     det_rels: tuple[float, ...] = (0.0, 0.2, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0)
     runs: int = 20
     base_config: DcrabConfig = field(default_factory=DcrabConfig)
-    master_seed: int = 0
-    rabi_frequency: float = DEFAULT_RABI_FREQUENCY
 
     def __post_init__(self) -> None:
         if not self.t_rels or not self.det_rels:
@@ -240,8 +235,6 @@ class ScanSpec:
             raise ContractError("grid values must be >= 0")
         if self.runs < 1:
             raise ContractError("runs must be >= 1")
-        if self.master_seed < 0:
-            raise ContractError("master_seed must be >= 0")
 
 
 @dataclass
@@ -251,7 +244,6 @@ class ScanResult:
     mean: np.ndarray
     std: np.ndarray
     best: np.ndarray
-    runs: int
     failed: np.ndarray
     best_pulses: dict[tuple[int, int], PulseWaveform] = field(default_factory=dict)
 
@@ -280,8 +272,8 @@ def _scan_run(job: tuple[PlantParams, DcrabConfig]) -> tuple[float, PulseWavefor
 def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None) -> ScanResult:
     """Seeded DCRAB state-transfer runs over the (T/T_pi, Delta/Omega) grid.
 
-    Per-run seeds derive from (master seed, cell coordinates, run index), so
-    results are independent of execution order and worker count.
+    Per-run seeds derive from (``base_config.seed``, cell coordinates, run
+    index), so results are independent of execution order and worker count.
     """
     if workers < 1:
         raise ContractError("workers must be >= 1")
@@ -289,8 +281,8 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     keys = list(np.ndindex(shape + (spec.runs,)))
     jobs = [
         (
-            params_from_relative(spec.t_rels[i], spec.det_rels[j], spec.rabi_frequency),
-            replace(spec.base_config, seed=derived_seed(spec.master_seed, i, j, run)),
+            params_from_relative(spec.t_rels[i], spec.det_rels[j]),
+            replace(spec.base_config, seed=derived_seed(spec.base_config.seed, i, j, run)),
         )
         for i, j, run in keys
     ]
@@ -319,7 +311,6 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
         mean=values.mean(axis=2),
         std=values.std(axis=2),
         best=values.max(axis=2),
-        runs=spec.runs,
         failed=failed,
         best_pulses=best_pulses,
     )
@@ -335,9 +326,9 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
             t_rels=list(spec.t_rels),
             det_rels=list(spec.det_rels),
             runs=spec.runs,
-            master_seed=spec.master_seed,
-            rabi_frequency=spec.rabi_frequency,
-            dcrab=asdict(replace(spec.base_config, seed=spec.master_seed)),
+            master_seed=spec.base_config.seed,
+            rabi_frequency=DEFAULT_RABI_FREQUENCY,
+            dcrab=asdict(spec.base_config),
         )
     return result
 
@@ -352,7 +343,6 @@ def run_openloop_comparison(
     detuning_offset_rel: float,
     config: DcrabConfig | None = None,
     runs: int = 5,
-    master_seed: int = 7,
     t_rel: float = 1.5,
     out_path: Path | str | None = None,
 ) -> list[dict]:
@@ -360,7 +350,9 @@ def run_openloop_comparison(
 
     Loads the best pulse per detuning from a completed nominal scan
     (``t_rel`` row), evaluates it open-loop under the perturbation, and runs
-    fresh closed-loop optimizations against the perturbed plant.
+    fresh closed-loop optimizations against the perturbed plant, seeded from
+    ``config.seed``.  With ``out_path``, the table goes there and its
+    manifest to ``<out_path>.manifest.json``.
     """
     if runs < 1:
         raise ContractError("runs must be >= 1")
@@ -390,7 +382,7 @@ def run_openloop_comparison(
         )
         closed_vals = []
         for run in range(runs):
-            cfg = replace(config, seed=derived_seed(master_seed, j, run))
+            cfg = replace(config, seed=derived_seed(config.seed, j, run))
             closed_vals.append(run_dcrab(SimPlant(nominal, truth), "state-transfer", cfg).best_fidelity.value)
         rows.append(
             {
@@ -406,4 +398,14 @@ def run_openloop_comparison(
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
+        write_manifest(
+            Path(str(out_path) + ".manifest.json"),
+            command="compare-openloop",
+            scan=str(scan_dir),
+            amp_scale=amplitude_scale,
+            detuning_offset_rel=detuning_offset_rel,
+            runs=runs,
+            t_rel=t_rel,
+            dcrab=asdict(config),
+        )
     return rows

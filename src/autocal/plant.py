@@ -221,9 +221,9 @@ def _scan_rotations(hx: float, hy: float, times_bytes: bytes) -> tuple[np.ndarra
     return u, u_adjoint
 
 
-def default_rabi_times(rabi_frequency: float, n_points: int = 41) -> np.ndarray:
-    """Tomography scan grid: ``n_points`` durations spanning [0, 2 / Omega]."""
-    return np.linspace(0.0, 2.0 / rabi_frequency, n_points)
+def default_rabi_times(rabi_frequency: float) -> np.ndarray:
+    """Tomography scan grid: 41 durations spanning [0, 2 / Omega]."""
+    return np.linspace(0.0, 2.0 / rabi_frequency, 41)
 
 
 def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.ndarray:

@@ -177,17 +177,15 @@ def test_criterion_8_open_loop_degradation(acceptance, tmp_path):
         t_rels=(1.5,),
         det_rels=dets,
         runs=3,
-        base_config=DcrabConfig(),
-        master_seed=8,
+        base_config=DcrabConfig(seed=8),
     )
     run_scan(spec, out_dir=tmp_path)
     rows = run_openloop_comparison(
         tmp_path,
         amplitude_scale=1.2,
         detuning_offset_rel=0.5,
-        config=DcrabConfig(),
+        config=DcrabConfig(seed=88),
         runs=3,
-        master_seed=88,
     )
     gaps = [r["closed_loop_mean"] - r["open_loop_fidelity"] for r in rows]
     elapsed = time.perf_counter() - start

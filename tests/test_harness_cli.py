@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +103,13 @@ class TestStateTransferDemo:
         config = DcrabConfig(seed=9, **FAST)
         r1 = run_state_transfer_demo(config, det_rel=0.2, t_rel=1.5, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        # the recorded plant seed is the one the config's seed derives
+        assert manifest["plant_seed"] == derived_seed(manifest["dcrab"]["seed"], 1)
         config2 = DcrabConfig(**manifest["dcrab"])
         r2 = run_state_transfer_demo(
             config2,
             det_rel=manifest["det_rel"],
             t_rel=manifest["t_rel"],
-            plant_seed=manifest["plant_seed"],
         )
         assert np.array_equal(r1.fom_trace, r2.fom_trace)
         assert np.array_equal(r1.best_pulse.x, r2.best_pulse.x)
@@ -118,8 +120,7 @@ class TestScan:
         t_rels=(1.0, 1.5),
         det_rels=(0.0, 0.5),
         runs=2,
-        base_config=DcrabConfig(**FAST),
-        master_seed=5,
+        base_config=DcrabConfig(seed=5, **FAST),
     )
 
     def test_scan_outputs(self, tmp_path):
@@ -142,8 +143,7 @@ class TestScan:
             t_rels=(1.0,),
             det_rels=(0.0,),
             runs=3,
-            base_config=DcrabConfig(target_fidelity=0.9995),
-            master_seed=5,
+            base_config=DcrabConfig(target_fidelity=0.9995, seed=5),
         )
         result = run_scan(spec)
         assert result.mean[0, 0] >= 0.999
@@ -180,6 +180,15 @@ class TestScan:
         with pytest.raises(TypeError, match="bug in a run"):
             run_scan(self.SPEC, workers=1)
 
+    def test_base_config_seed_is_the_master_seed(self, tmp_path):
+        results = {}
+        for seed in (1, 2):
+            spec = replace(self.SPEC, base_config=DcrabConfig(seed=seed, **FAST))
+            results[seed] = run_scan(spec, out_dir=tmp_path / str(seed))
+            manifest = json.loads((tmp_path / str(seed) / "manifest.json").read_text())
+            assert manifest["master_seed"] == manifest["dcrab"]["seed"] == seed
+        assert not np.array_equal(results[1].mean, results[2].mean)
+
 
 class TestOpenLoopComparison:
     def test_zero_perturbation_matches_recorded_best(self, tmp_path):
@@ -187,8 +196,7 @@ class TestOpenLoopComparison:
             t_rels=(1.5,),
             det_rels=(0.0,),
             runs=2,
-            base_config=DcrabConfig(**FAST),
-            master_seed=3,
+            base_config=DcrabConfig(seed=3, **FAST),
         )
         result = run_scan(spec, out_dir=tmp_path)
         rows = run_openloop_comparison(
@@ -199,6 +207,18 @@ class TestOpenLoopComparison:
             runs=1,
         )
         assert abs(rows[0]["open_loop_fidelity"] - result.best[0, 0]) < 1e-9
+
+    def test_closed_loop_runs_follow_config_seed(self, tmp_path):
+        spec = ScanSpec(t_rels=(1.5,), det_rels=(0.0,), runs=1, base_config=DcrabConfig(**FAST))
+        run_scan(spec, out_dir=tmp_path)
+        means = [
+            run_openloop_comparison(tmp_path, 1.2, 0.5, config=DcrabConfig(seed=seed, **FAST), runs=2)[0][
+                "closed_loop_mean"
+            ]
+            for seed in (1, 2, 1)
+        ]
+        assert means[0] != means[1]
+        assert means[0] == means[2]
 
     def test_missing_scan_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -266,6 +286,36 @@ class TestCli:
         assert manifest["runs"] == 1
 
     @pytest.mark.parametrize(
+        "dcrab_seed, master_seed, flag, expected",
+        [(2, None, None, 2), (2, 3, None, 3), (2, 3, 5, 5)],
+        ids=["dcrab-seed", "master-seed-beats-dcrab-seed", "flag-beats-both"],
+    )
+    def test_scan_seed_precedence(self, tmp_path, dcrab_seed, master_seed, flag, expected):
+        def scan(name, dcrab_lines, scan_lines, flags):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                "[dcrab]\nsuperiterations = 1\nmax_evals_per_superiteration = 12\nn_t = 200\n"
+                + dcrab_lines
+                + "[scan]\nt_rels = 1.5\ndet_rels = 0.5\nruns = 1\n"
+                + scan_lines
+            )
+            out = tmp_path / name
+            assert main(["scan", "--config", str(cfg), "--out", str(out)] + flags) == 0
+            return out
+
+        out = scan(
+            "resolved",
+            f"seed = {dcrab_seed}\n",
+            "" if master_seed is None else f"master_seed = {master_seed}\n",
+            [] if flag is None else ["--seed", str(flag)],
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == manifest["dcrab"]["seed"] == expected
+        # the resolved seed drives the runs: the same scan seeded by the flag alone matches
+        plain = scan("plain", "", "", ["--seed", str(expected)])
+        assert (out / "scan.csv").read_bytes() == (plain / "scan.csv").read_bytes()
+
+    @pytest.mark.parametrize(
         "section, line",
         [
             ("plant", "detuning = 0.5"),
@@ -317,6 +367,28 @@ class TestCli:
         )
         assert code == 0
         assert table.exists()
+
+    def test_compare_openloop_manifest_reproduces_table(self, tmp_path):
+        scan = tmp_path / "scan"
+        spec = ScanSpec(t_rels=(1.5,), det_rels=(0.0, 0.5), runs=1, base_config=DcrabConfig(**FAST))
+        run_scan(spec, out_dir=scan)
+        table = tmp_path / "compare.csv"
+        argv = ["compare-openloop", "--scan", str(scan), "--runs", "2", "--seed", "3", "--out", str(table)]
+        assert main(argv + self.FAST_ARGS + ["--amp-scale", "1.1"]) == 0
+        manifest = json.loads(Path(str(table) + ".manifest.json").read_text())
+        assert manifest["command"] == "compare-openloop"
+        assert manifest["dcrab"]["seed"] == 3
+        again = tmp_path / "again.csv"
+        run_openloop_comparison(
+            manifest["scan"],
+            amplitude_scale=manifest["amp_scale"],
+            detuning_offset_rel=manifest["detuning_offset_rel"],
+            config=DcrabConfig(**manifest["dcrab"]),
+            runs=manifest["runs"],
+            t_rel=manifest["t_rel"],
+            out_path=again,
+        )
+        assert again.read_bytes() == table.read_bytes()
 
     def test_compare_openloop_zero_rabi_frequency_is_config_error(self, tmp_path):
         # a bad manifest is a bad input file (exit 2), not a runtime failure

@@ -322,7 +322,7 @@ class TestRabiScanSeam:
         y = rng.uniform(-0.5, 0.5, n_t)
         pulse = PulseWaveform(duration, x, y)
         if uniform_grid:
-            times = default_rabi_times(rabi_frequency, n_points)
+            times = np.linspace(0.0, 2.0 / rabi_frequency, n_points)
         else:
             times = np.unique(rng.uniform(0.0, 3.0, n_points))
         config = SimPlantConfig(
