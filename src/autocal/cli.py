@@ -34,32 +34,24 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-# CLI flag -> DcrabConfig field; unset flags fall back to the config file,
-# then to the DcrabConfig defaults
-_DCRAB_FLAGS = {
-    "components": "n_components",
-    "superiterations": "superiterations",
-    "max_evals": "max_evals_per_superiteration",
-    "target": "target_fidelity",
-    "seed": "seed",
-    "samples": "n_t",
-}
-
-
 def _add_dcrab_options(parser: argparse.ArgumentParser) -> None:
+    """DCRAB flags, each stored under the name of the ``DcrabConfig`` field it sets."""
     parser.add_argument("--seed", type=int)
     parser.add_argument("--superiterations", type=int)
-    parser.add_argument("--components", type=int)
-    parser.add_argument("--max-evals", type=int, help="per super-iteration")
-    parser.add_argument("--target", type=float)
-    parser.add_argument("--samples", type=int, help="waveform samples")
+    parser.add_argument("--components", type=int, dest="n_components", metavar="COMPONENTS")
+    parser.add_argument(
+        "--max-evals", type=int, dest="max_evals_per_superiteration", metavar="MAX_EVALS", help="per super-iteration"
+    )
+    parser.add_argument("--target", type=float, dest="target_fidelity", metavar="TARGET")
+    parser.add_argument("--samples", type=int, dest="n_t", metavar="SAMPLES", help="waveform samples")
 
 
 def _dcrab_config(args, file_values: dict | None = None) -> DcrabConfig:
+    """Flags given on the command line over file values over the ``DcrabConfig`` defaults."""
     merged = dict(file_values or {})
-    for flag, name in _DCRAB_FLAGS.items():
-        if getattr(args, flag) is not None:
-            merged[name] = getattr(args, flag)
+    for f in fields(DcrabConfig):
+        if getattr(args, f.name, None) is not None:
+            merged[f.name] = getattr(args, f.name)
     return DcrabConfig(**merged)
 
 
@@ -104,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gate", "closed-loop Hadamard-like gate calibration"),
     ):
         demo = sub.add_parser(command, help=text)
+        demo.set_defaults(handler=_cmd_demo)
         demo.add_argument("--dt-rel", type=float, default=1.5, help="T / T_pi")
         demo.add_argument("--detuning-rel", type=float, default=0.0, help="Delta / Omega")
         demo.add_argument("--noise", action="store_true")
@@ -111,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         demo.add_argument("--out", type=Path, default=Path(f"autocal-{command}"))
         _add_dcrab_options(demo)
         if command == "gate":
-            demo.set_defaults(target=0.98)
+            demo.set_defaults(target_fidelity=0.98)
 
     scan = sub.add_parser("scan", help="state-transfer robustness scan")
+    scan.set_defaults(handler=_cmd_scan)
     scan.add_argument("--config", type=str, default=None)
     scan.add_argument("--workers", type=int, default=1)
     scan.add_argument("--runs", type=int, default=None)
@@ -121,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dcrab_options(scan)
 
     cmp = sub.add_parser("compare-openloop", help="open-loop vs closed-loop on a perturbed plant")
+    cmp.set_defaults(handler=_cmd_compare)
     cmp.add_argument("--scan", type=Path, required=True, help="directory of a completed scan")
     cmp.add_argument("--amp-scale", type=float, default=1.2)
     cmp.add_argument("--detuning-offset-rel", type=float, default=0.5)
@@ -129,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dcrab_options(cmp)
 
     qpt = sub.add_parser("qpt", help="process tomography of a pulse file")
+    qpt.set_defaults(handler=_cmd_qpt)
     qpt.add_argument("--pulse", type=Path, required=True)
     qpt.add_argument("--detuning-rel", type=float, default=0.0)
     qpt.add_argument("--noise", action="store_true")
@@ -170,6 +166,8 @@ def _cmd_scan(args) -> int:
     result = run_scan(spec, workers=args.workers, out_dir=args.out)
     print(f"scan of {len(spec.t_rels)}x{len(spec.det_rels)} cells, {spec.runs} runs each")
     print(f"grid mean fidelity {result.mean.mean():.4f}; outputs written to {args.out}")
+    if result.failed.any():
+        print(f"{result.failed.sum()} of {result.failed.size * spec.runs} runs failed and scored 0", file=sys.stderr)
     return EXIT_OK
 
 
@@ -218,15 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "invert": _cmd_demo,
-        "gate": _cmd_demo,
-        "scan": _cmd_scan,
-        "compare-openloop": _cmd_compare,
-        "qpt": _cmd_qpt,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ContractError, FileNotFoundError, configparser.Error) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -231,8 +231,8 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if not self.t_rels or not self.det_rels:
             raise ContractError("scan grids must be non-empty")
-        if any(v < 0 for v in self.t_rels) or any(v < 0 for v in self.det_rels):
-            raise ContractError("grid values must be >= 0")
+        if not all(0 < v < math.inf for v in self.t_rels) or not all(0 <= v < math.inf for v in self.det_rels):
+            raise ContractError("grid values must be finite, t_rels > 0 and det_rels >= 0")
         if self.runs < 1:
             raise ContractError("runs must be >= 1")
 
@@ -286,6 +286,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
         )
         for i, j, run in keys
     ]
+    workers = min(workers, len(jobs))  # under fork a pool starts every worker up front, busy or not
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:

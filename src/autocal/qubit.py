@@ -130,11 +130,6 @@ class PlantParams:
         if self.duration <= 0.0:
             raise ContractError("duration must be positive")
 
-    @property
-    def t_pi(self) -> float:
-        """Duration of a unit-amplitude resonant pi-pulse, 1 / (2 Omega)."""
-        return 1.0 / (2.0 * self.rabi_frequency)
-
 
 @dataclass(frozen=True)
 class PulseWaveform:

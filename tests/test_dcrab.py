@@ -14,6 +14,7 @@ from autocal.dcrab import (
     assemble_pulse,
     draw_basis,
     evaluate_pulse_open_loop,
+    make_fom,
     nelder_mead,
     run_dcrab,
 )
@@ -53,6 +54,9 @@ class TestConfig:
             ("simplex_tol", math.inf),
             ("simplex_tol", -0.01),
             ("seed", -1),
+            ("n_components", 0),
+            ("superiterations", 0),
+            ("n_t", 1),
         ],
     )
     def test_values_that_ruin_a_run_rejected(self, field, value):
@@ -93,6 +97,27 @@ class TestDrawBasis:
         term = draw_basis(2, 1.0, np.random.default_rng(3))
         with pytest.raises(ContractError):
             term.with_coeffs(np.zeros(5))
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ContractError, match="duration must be positive"):
+            draw_basis(1, duration, np.random.default_rng(0))
+
+    def test_band_edge_redrawn(self):
+        # uniform(-0.5, 0.5) can return -0.5 itself, which lies on the excluded band edge
+        class StubGenerator:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def uniform(self, low, high, size):
+                draw = np.array(next(self.draws), dtype=float)
+                assert (low, high, size) == (-0.5, 0.5, draw.size)
+                return draw
+
+        rng = StubGenerator([[-0.5, 0.25], [0.125], [0.0, -0.25]])
+        term = draw_basis(2, 2.0, rng)
+        assert np.array_equal(term.freqs_x, 2.0 * math.pi * np.array([0.125, 1.25]) / 2.0)
+        assert np.array_equal(term.freqs_y, 2.0 * math.pi * np.array([0.0, 0.75]) / 2.0)
 
 
 class TestAssemblePulse:
@@ -140,6 +165,10 @@ class TestAssemblePulse:
         ledger = self.ledger_with_zero_freq_term()
         with pytest.raises(ContractError):
             assemble_pulse(ledger, np.zeros(6), self.PARAMS, 100)
+
+    def test_no_active_term_rejected(self):
+        with pytest.raises(ContractError, match="no active term"):
+            assemble_pulse(DcrabLedger(duration=1.0), np.zeros(4), self.PARAMS, 100)
 
     @staticmethod
     def uncached_pulse(ledger, coeffs, params, n_t):
@@ -283,6 +312,10 @@ class TestNelderMead:
         objective = lambda v: float(np.sin(np.sum(v)))
         res = nelder_mead(objective, np.zeros(4), 1.0, 17, 1e-15)
         assert len(res.trace) <= 17
+
+    def test_budget_below_simplex_rejected(self):
+        with pytest.raises(ContractError, match="initial simplex"):
+            nelder_mead(lambda v: 0.0, np.zeros(4), 1.0, 4, 1e-8)
 
 
 def reference_nelder_mead(objective, x0, scale, max_evals, tol, target=None):
@@ -625,6 +658,10 @@ class TestOpenLoopEvaluation:
         pulse = PulseWaveform.zero(1.0)
         with pytest.raises(ContractError):
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), fom="energy")
+
+    def test_unknown_closed_loop_kind_rejected(self):
+        with pytest.raises(ContractError, match="unknown figure-of-merit kind 'energy'"):
+            make_fom("energy")
 
     def test_model_and_plant_propagate_the_same_channels(self, monkeypatch):
         # clipping leaves some samples one ulp above |X + Y| = 1; at unit gain

@@ -1,8 +1,11 @@
+import argparse
+import concurrent.futures
 import importlib
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +18,7 @@ import autocal.cli
 import autocal.dcrab
 import autocal.harness
 import autocal.plant
-from autocal.cli import main
+from autocal.cli import build_parser, main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
 from autocal.harness import (
     ScanSpec,
@@ -74,6 +77,13 @@ class TestPulseCsv:
         with pytest.raises(ContractError):
             load_pulse_csv(path)
 
+    @pytest.mark.parametrize("times", [(0.0, 0.1, 0.1), (0.0, 0.1, 0.05)], ids=["repeated", "decreasing"])
+    def test_non_increasing_times_rejected(self, tmp_path, times):
+        path = tmp_path / "bad.csv"
+        path.write_text("t_us,X,Y\n" + "".join(f"{t},0.1,0.0\n" for t in times))
+        with pytest.raises(ContractError, match="strictly increasing"):
+            load_pulse_csv(path)
+
 
 class TestStateTransferDemo:
     def test_outputs_and_roundtrip(self, tmp_path):
@@ -113,6 +123,27 @@ class TestStateTransferDemo:
         )
         assert np.array_equal(r1.fom_trace, r2.fom_trace)
         assert np.array_equal(r1.best_pulse.x, r2.best_pulse.x)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(t_rels=()), "non-empty"),
+        (dict(det_rels=()), "non-empty"),
+        (dict(t_rels=(1.0, -0.5)), "t_rels > 0"),
+        (dict(t_rels=(0.0, 1.0)), "t_rels > 0"),  # T = 0 has no pulse to calibrate
+        (dict(det_rels=(0.0, -0.2)), "det_rels >= 0"),
+        (dict(t_rels=(math.nan,)), "finite, t_rels"),
+        (dict(det_rels=(math.inf,)), "finite, t_rels"),
+        (dict(runs=0), "runs must be >= 1"),
+    ],
+    ids=[
+        "no-t-rels", "no-det-rels", "negative-t-rel", "zero-t-rel", "negative-det-rel", "nan-t-rel", "inf-det-rel", "no-runs"
+    ],
+)
+def test_scan_spec_rejects(kwargs, message):
+    with pytest.raises(ContractError, match=message):
+        ScanSpec(**kwargs)
 
 
 class TestScan:
@@ -161,6 +192,32 @@ class TestScan:
             assert pulse.y.tobytes() == serial.best_pulses[cell].y.tobytes()
             # pickled back from a worker, yet as immutable as any pulse
             assert not pulse.x.flags.writeable and not pulse.y.flags.writeable
+
+    def test_pool_never_larger_than_the_job_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        two_jobs = replace(self.SPEC, t_rels=(1.5,), det_rels=(0.0,), runs=2)
+        pooled = run_scan(two_jobs, workers=64)
+        assert sizes == [2]
+        assert np.array_equal(pooled.mean, run_scan(two_jobs, workers=1).mean)
+        run_scan(replace(two_jobs, runs=1), workers=64)  # one job runs in this process
+        assert sizes == [2]
 
     @pytest.mark.parametrize("error", [ContractError("rejected"), FitFailure(0.5)])
     def test_run_failure_counts_in_failed(self, monkeypatch, error):
@@ -224,6 +281,12 @@ class TestOpenLoopComparison:
         with pytest.raises(FileNotFoundError):
             run_openloop_comparison(tmp_path / "nope", 1.2, 0.5)
 
+    def test_missing_scan_pulse_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0, 0.5]}))
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), tmp_path / "pulse_t1.5_d0.csv")
+        with pytest.raises(FileNotFoundError, match="pulse_t1.5_d0.5.csv"):
+            run_openloop_comparison(tmp_path, 1.2, 0.5, config=DcrabConfig(**FAST), runs=1)
+
 
 class TestCli:
     FAST_ARGS = ["--superiterations", "2", "--max-evals", "12", "--samples", "200"]
@@ -264,6 +327,23 @@ class TestCli:
         assert code == 0
         assert (out / "scan.csv").exists()
         assert "2x1 cells" in capsys.readouterr().out
+
+    def test_failed_runs_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        run_dcrab = autocal.harness.run_dcrab
+
+        def failing_when_detuned(plant, fom, config):
+            if plant.nominal.detuning > 0.0:
+                raise FitFailure(0.5)
+            return run_dcrab(plant, fom, config)
+
+        monkeypatch.setattr(autocal.harness, "run_dcrab", failing_when_detuned)
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("[scan]\nt_rels = 1.5\ndet_rels = 0.0,0.5\nruns = 2\n")
+        code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan")] + self.FAST_ARGS)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "2 of 4 runs failed and scored 0\n"
+        assert captured.out.startswith("scan of 1x2 cells, 2 runs each\n")
 
     def test_cli_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -515,6 +595,40 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_state_transfer_demo", boom)
         assert main(["invert"]) == 3
+
+
+VERBS = ("invert", "gate", "scan", "compare-openloop", "qpt")
+
+
+def readme_cli_surface():
+    """Each verb's option strings, and each DCRAB flag's (dest, metavar), as the README lists them."""
+    verb_rows, dcrab = [], {}
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        cells = [re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:-1]]
+        if len(cells) == 2 and cells[0] and all(verb in VERBS for verb in cells[0]):
+            verb_rows.append((cells[0], cells[1], "DCRAB flags" in line))
+        elif len(cells) == 3 and len(cells[0]) == 1 and cells[0][0].startswith("--") and cells[1]:
+            dcrab[cells[0][0]] = (cells[1][0], cells[2][0])
+    options = {
+        verb: flags + (list(dcrab) if with_dcrab else []) for verbs, flags, with_dcrab in verb_rows for verb in verbs
+    }
+    return options, dcrab
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_cli_surface_matches_readme(verb, capsys):
+    assert main([verb, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: autocal {verb} ")
+    options, dcrab = readme_cli_surface()
+    assert set(dcrab) == {"--seed", "--superiterations", "--components", "--max-evals", "--target", "--samples"}
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in verbs.choices[verb]._actions if a.dest != "help"]
+    assert [s for a in actions for s in a.option_strings] == options[verb]
+    for action in actions:
+        flag = action.option_strings[0]
+        if flag in dcrab and verb != "qpt":  # qpt's --seed seeds its plant, not a DCRAB run
+            assert (action.dest, action.metavar or action.dest.upper()) == dcrab[flag]
+            assert action.default is None or (verb, flag) == ("gate", "--target")
 
 
 def test_runtime_never_imports_scipy():

@@ -199,6 +199,13 @@ class TestMeasurement:
         assert sequence() == sequence()
 
 
+def test_unknown_rotation_axis_rejected():
+    plant = make_plant()
+    plant.prepare(PreparationIndex.PSI_1)
+    with pytest.raises(ContractError, match="unknown rotation axis 'z'"):
+        plant.apply_ideal_rotation("z", 0.1)
+
+
 class TestRabiScan:
     def test_ground_state_x_scan_is_cosine(self):
         plant = make_plant()

@@ -22,6 +22,7 @@ from autocal.qubit import (
 )
 from autocal.tomography import (
     CHI_BASIS,
+    ChiMatrix,
     FidelityEstimate,
     FitFailure,
     RabiFit,
@@ -552,12 +553,22 @@ class TestGateFom:
             gate_fom(plant, exact_g_pulse(), np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
+def test_fidelity_estimate_rejects_negative_sigma():
+    with pytest.raises(ContractError, match="sigma must be non-negative"):
+        FidelityEstimate(value=0.5, sigma=-1e-3)
+
+
 class TestChiMatrix:
     def finals_of_unitary(self, u):
         return [
             DensityMatrix(apply_unitary(idx.density_matrix(), u).matrix)
             for idx in PreparationIndex
         ]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 3), (2, 4, 4)])
+    def test_must_be_4x4(self, shape):
+        with pytest.raises(ContractError, match="chi matrix must be 4x4"):
+            ChiMatrix(np.zeros(shape))
 
     def test_identity_process(self):
         chi = chi_from_final_states(self.finals_of_unitary(IDENTITY)).matrix
