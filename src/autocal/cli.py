@@ -69,11 +69,11 @@ _FILE_KEYS = {
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section=None)  # [DEFAULT] is an ordinary, unknown section
     if not parser.read(path):
         raise ContractError(f"cannot read config file {path}")
     out: dict = {}
-    for section in parser.sections():
+    for section in sorted(parser.sections(), key=lambda name: name != "DEFAULT"):  # [DEFAULT] first
         if section not in _FILE_KEYS:
             raise ContractError(f"unknown config section [{section}] in {path}")
         out[section] = {}

@@ -20,6 +20,7 @@ from .qubit import (
     GATE_G,
     PlantParams,
     PulseWaveform,
+    _check_duration,
     clip_amplitudes,
     total_propagator,
 )
@@ -56,12 +57,12 @@ class DcrabConfig:
             raise ContractError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisTerm:
     """Randomized frequencies and coefficients of one super-iteration's term.
 
     Frequencies obey omega_n = 2 pi (n + r) / T with |r| < 0.5, independently
-    per channel and per component.
+    per channel and per component.  Terms compare by identity.
     """
 
     freqs_x: np.ndarray
@@ -125,7 +126,7 @@ class DcrabLedger:
     frozen: list[BasisTerm] = field(default_factory=list)
     active: BasisTerm | None = None
     # what the last set of terms and time grid fix, built once per super-iteration:
-    # (key, frozen gx, frozen gy, window, active basis, the keyed terms: kept alive so their ids stay unique)
+    # (key: the terms themselves and the grid, frozen gx, frozen gy, window, active basis)
     _cache: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def window(self, times: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ class DcrabLedger:
         self, times: np.ndarray, active_coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        key = ([id(term) for term in self.frozen], id(self.active), times.tobytes())
+        key = (*self.frozen, self.active, times.tobytes())
         if self._cache[0] != key:
             gx = np.zeros_like(times)
             gy = np.zeros_like(times)
@@ -143,9 +144,8 @@ class DcrabLedger:
                 tx, ty = term.channel_profiles(times)
                 gx += tx
                 gy += ty
-            terms = (*self.frozen, self.active)
-            self._cache = (key, gx, gy, self.window(times), self.active.basis(times), terms)
-        _, gx, gy, w, basis, _ = self._cache
+            self._cache = (key, gx, gy, self.window(times), self.active.basis(times))
+        _, gx, gy, w, basis = self._cache
         tx, ty = _weigh(self.active.with_coeffs(active_coeffs).coeffs, basis)
         return w * (gx + tx), w * (gy + ty)
 
@@ -409,6 +409,7 @@ def evaluate_pulse_open_loop(
     (possibly perturbed) parameters without any feedback, after the drive
     chain of ``SimPlant.apply`` at gain ``amplitude_scale``.
     """
+    _check_duration(pulse, params)
     u = total_propagator(pulse.scaled(amplitude_scale), params)
     if fom == "state-transfer":
         value = abs(u[1, 0]) ** 2

@@ -235,6 +235,10 @@ class ScanSpec:
             raise ContractError("grid values must be finite, t_rels > 0 and det_rels >= 0")
         if self.runs < 1:
             raise ContractError("runs must be >= 1")
+        for name, grid in (("t_rels", self.t_rels), ("det_rels", self.det_rels)):
+            labels = [f"{v:g}" for v in grid]  # as in the pulse file names
+            if clashes := [label for label in labels if labels.count(label) > 1]:
+                raise ContractError(f"{name} values share the pulse file name {clashes[0]!r}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import enum
 import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .qubit import (
 )
 
 _SQRT2 = math.sqrt(2.0)
+# the four tomography input states, in ``PreparationIndex`` order
+_STATE_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1.0 / _SQRT2, -1.0j / _SQRT2), (1.0 / _SQRT2, 1.0 / _SQRT2))
 
 
 class PreparationIndex(enum.IntEnum):
@@ -42,13 +44,7 @@ class PreparationIndex(enum.IntEnum):
     PSI_4 = 4  # (|0> + |-1>) / sqrt(2)
 
     def state_vector(self) -> np.ndarray:
-        if self is PreparationIndex.PSI_1:
-            return np.array([1.0, 0.0], dtype=complex)
-        if self is PreparationIndex.PSI_2:
-            return np.array([0.0, 1.0], dtype=complex)
-        if self is PreparationIndex.PSI_3:
-            return np.array([1.0 / _SQRT2, -1.0j / _SQRT2], dtype=complex)
-        return np.array([1.0 / _SQRT2, 1.0 / _SQRT2], dtype=complex)
+        return np.array(_STATE_VECTORS[self - 1], dtype=complex)
 
     @functools.cache
     def density_matrix(self) -> DensityMatrix:
@@ -124,11 +120,7 @@ class SimPlant(PlantInterface):
     def __init__(self, nominal: PlantParams, config: SimPlantConfig | None = None):
         self._nominal = nominal
         self.config = config or SimPlantConfig()
-        self._true = PlantParams(
-            rabi_frequency=nominal.rabi_frequency,
-            detuning=nominal.detuning + self.config.detuning_offset,
-            duration=nominal.duration,
-        )
+        self._true = replace(nominal, detuning=nominal.detuning + self.config.detuning_offset)
         self._rng = np.random.default_rng(np.random.PCG64(self.config.seed))
         self._state: DensityMatrix | None = None
         self._last_pulse: PulseWaveform | None = None

@@ -314,15 +314,3 @@ def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
     )
     return _su2(*_ck_product(alpha, beta))
 
-
-def generalized_rabi_population(
-    rabi_frequency: float, detuning: float, t: np.ndarray | float
-) -> np.ndarray | float:
-    """Analytic |-1> population under constant unit-amplitude x drive from |0>.
-
-    P(t) = Omega^2 / (Omega^2 + Delta^2) * sin^2(pi sqrt(Omega^2 + Delta^2) t)
-    """
-    gen = rabi_frequency**2 + detuning**2
-    if gen == 0.0:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    return (rabi_frequency**2 / gen) * np.sin(math.pi * math.sqrt(gen) * np.asarray(t)) ** 2

@@ -230,8 +230,7 @@ def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> 
         secant[r] = (math.nan, math.nan, float(omegas[k]))
     live, round_ = list(secant), 0
     while live and round_ <= _REFINE_STEPS:
-        asking = targets if len(live) == len(targets) else targets[live]
-        params, sses, grads = _varpro(np.array([secant[r][2] for r in live]), times, asking)
+        params, sses, grads = _varpro(np.array([secant[r][2] for r in live]), times, targets[live])
         refining = []
         for r, p, sse, g1 in zip(live, params, sses, grads.tolist()):
             w0, g0, w1 = secant[r]

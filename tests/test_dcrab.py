@@ -224,7 +224,7 @@ class TestLedgerCache:
         return w * gx, w * gy
 
     @given(
-        ops=st.lists(st.sampled_from(["eval", "swap", "redraw", "grid", "freeze"]), max_size=12),
+        ops=st.lists(st.sampled_from(["eval", "swap", "redraw", "grid", "freeze", "copy"]), max_size=12),
         n_components=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -240,7 +240,7 @@ class TestLedgerCache:
                 ledger.active = draw_basis(n_components, duration, rng)
             elif op == "redraw":
                 # the dropped term's memory is free before the next term is made, so
-                # CPython may give the new term its id: only the cache keeps that id taken
+                # CPython may give the new term its id unless the cache holds the old term
                 ledger.active = None
                 ledger.active = draw_basis(n_components, duration, rng)
             elif op == "grid":
@@ -250,11 +250,17 @@ class TestLedgerCache:
                 ledger.frozen.append(ledger.active.with_coeffs(rng.normal(size=4 * n_components)))
                 ledger.active = None
                 ledger.active = draw_basis(n_components, duration, rng)
+            elif op == "copy":
+                # value-equal copies are other terms: the cache is keyed on the terms themselves
+                ledger.frozen = [term.with_coeffs(term.coeffs) for term in ledger.frozen]
             for _ in range(2):
                 coeffs = rng.normal(scale=0.5, size=4 * n_components)
                 gx, gy = ledger.update_profiles(times, coeffs)
                 x, y = self.uncached_profiles(ledger, times, coeffs)
                 assert gx.tobytes() == x.tobytes() and gy.tobytes() == y.tobytes()
+                key_terms = ledger._cache[0][:-1]
+                assert len(key_terms) == len(ledger.frozen) + 1
+                assert all(a is b for a, b in zip(key_terms, [*ledger.frozen, ledger.active]))
         with pytest.raises(ContractError, match="length 4N"):
             ledger.update_profiles(times, np.zeros(4 * n_components + 1))
 
@@ -653,6 +659,13 @@ class TestOpenLoopEvaluation:
         pulse = PulseWaveform.constant(1.0, 0.0, 0.25)
         fom = evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 0.25), fom="gate")
         assert fom.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fom", ["state-transfer", "gate"])
+    def test_duration_mismatch_rejected(self, fom):
+        # as SimPlant.apply does: a pulse scored on another plant's grid would mislead
+        pulse = PulseWaveform.constant(1.0, 0.0, 0.5)
+        with pytest.raises(ContractError, match="pulse duration does not match plant duration"):
+            evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 0.75), fom=fom)
 
     def test_unknown_kind_rejected(self):
         pulse = PulseWaveform.zero(1.0)

@@ -136,9 +136,12 @@ class TestStateTransferDemo:
         (dict(t_rels=(math.nan,)), "finite, t_rels"),
         (dict(det_rels=(math.inf,)), "finite, t_rels"),
         (dict(runs=0), "runs must be >= 1"),
+        (dict(t_rels=(1.5, 1.5)), "t_rels values share the pulse file name '1.5'"),
+        (dict(det_rels=(0.0, 0.5, 0.5000001)), "det_rels values share the pulse file name '0.5'"),
     ],
     ids=[
-        "no-t-rels", "no-det-rels", "negative-t-rel", "zero-t-rel", "negative-det-rel", "nan-t-rel", "inf-det-rel", "no-runs"
+        "no-t-rels", "no-det-rels", "negative-t-rel", "zero-t-rel", "negative-det-rel", "nan-t-rel", "inf-det-rel", "no-runs",
+        "repeated-t-rel", "det-rels-one-file-name",
     ],
 )
 def test_scan_spec_rejects(kwargs, message):
@@ -423,6 +426,24 @@ class TestCli:
         cfg.write_text("".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in sections.items()))
         code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nseed = 5\n",
+            "[dcrab]\nsuperiterations = 1\n[DEFAULT]\nruns = 1\n",
+            "[dcrab]\nsuperiteration = 1\n[DEFAULT]\nseed = 5\n",
+        ],
+        ids=["default-alone", "default-beside-dcrab", "default-before-other-errors"],
+    )
+    def test_default_section_rejected(self, tmp_path, capsys, monkeypatch, text):
+        # configparser would merge [DEFAULT] into every section, or ignore it when it stands alone
+        monkeypatch.setattr(autocal.cli, "run_scan", lambda *args, **kwargs: pytest.fail("the scan ran"))
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(text)
+        code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan")])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: unknown config section [DEFAULT] in {cfg}\n"
 
     def test_compare_openloop_flow(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"

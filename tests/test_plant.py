@@ -85,6 +85,19 @@ class TestPreparation:
             m = idx.density_matrix().matrix
             assert np.allclose(m @ m, m, atol=1e-14)
 
+    def test_state_vectors_are_the_literal_kets(self):
+        s = math.sqrt(2.0)
+        kets = {
+            PreparationIndex.PSI_1: [1.0, 0.0],
+            PreparationIndex.PSI_2: [0.0, 1.0],
+            PreparationIndex.PSI_3: [1.0 / s, -1.0j / s],
+            PreparationIndex.PSI_4: [1.0 / s, 1.0 / s],
+        }
+        for idx in PreparationIndex:
+            psi = idx.state_vector()
+            assert psi.dtype == complex
+            assert psi.tobytes() == np.array(kets[idx], dtype=complex).tobytes()
+
     def test_prepared_state_is_shared_and_read_only(self):
         for idx in PreparationIndex:
             rho = idx.density_matrix()
@@ -127,6 +140,10 @@ class TestApply:
         plant.prepare(PreparationIndex.PSI_1)
         plant.apply(PulseWaveform.constant(1.0, 0.0, 0.5))
         assert plant.measure_population("-1") == pytest.approx(1.0, abs=1e-9)
+
+    def test_true_params_shift_only_the_detuning(self):
+        plant = SimPlant(PlantParams(1.3, 0.4, 0.6), SimPlantConfig(detuning_offset=0.25))
+        assert plant.true_params == PlantParams(1.3, 0.4 + 0.25, 0.6)  # dataclass equality: field by field
 
     def test_detuning_offset_hidden_from_nominal(self):
         plant = SimPlant(

@@ -16,7 +16,6 @@ from autocal.qubit import (
     SIGMA_X,
     clip_amplitudes,
     evolve_density,
-    generalized_rabi_population,
     pauli_rotation_propagator,
     population,
     total_propagator,
@@ -429,15 +428,6 @@ class TestPopulation:
     def test_unknown_selector(self):
         with pytest.raises(ContractError):
             population(DensityMatrix.pure_zero(), "up")
-
-
-def test_generalized_rabi_helper_consistent():
-    # library helper agrees with the inline formula used as test oracle
-    omega, delta = 2.0, 0.5
-    t = np.linspace(0, 2, 17)
-    gen = omega**2 + delta**2
-    expected = (omega**2 / gen) * np.sin(math.pi * math.sqrt(gen) * t) ** 2
-    assert np.allclose(generalized_rabi_population(omega, delta, t), expected)
 
 
 def test_plant_params_validation():
