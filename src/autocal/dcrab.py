@@ -20,7 +20,6 @@ from .qubit import (
     GATE_G,
     PlantParams,
     PulseWaveform,
-    _check_duration,
     clip_amplitudes,
     total_propagator,
 )
@@ -335,7 +334,7 @@ def run_dcrab(
     callable (plant, pulse) -> FidelityEstimate.  Each super-iteration
     starts from zero active coefficients, so its first evaluation reproduces
     the previous best pulse exactly; completed terms are frozen verbatim.
-    A failed evaluation scores 0 and is logged, never aborting the loop.
+    A failed evaluation scores 0 and is logged; if all failed, the run raises the first.
     """
     if isinstance(fom, str):
         fom = make_fom(fom)
@@ -344,6 +343,7 @@ def run_dcrab(
     ledger = DcrabLedger(duration=params.duration)
 
     records: list[EvaluationRecord] = []
+    failures: list[FitFailure] = []
     best_estimate: FidelityEstimate | None = None
     best_pulse: PulseWaveform | None = None
     superiteration = 0
@@ -355,6 +355,7 @@ def run_dcrab(
             estimate = fom(plant, pulse)
         except FitFailure as err:
             log.warning("evaluation failed (%s); scoring 0", err)
+            failures.append(err)
             estimate = FidelityEstimate(0.0, 0.0)
         if best_estimate is None or estimate.value > best_estimate.value:
             best_estimate = estimate
@@ -385,10 +386,8 @@ def run_dcrab(
         if best_estimate is not None and best_estimate.value >= config.target_fidelity:
             break
 
-    if best_pulse is None or best_estimate is None:
-        # the first evaluation sets both, so the optimizer returned without
-        # evaluating; a raise survives python -O
-        raise RuntimeError("no evaluation produced a figure of merit to keep")
+    if len(failures) == len(records):  # every evaluation failed, or none ran; a raise survives python -O
+        raise failures[0] if failures else RuntimeError("no evaluation produced a figure of merit to keep")
     return OptimizationResult(
         best_pulse=best_pulse,
         best_fidelity=best_estimate,
@@ -409,7 +408,6 @@ def evaluate_pulse_open_loop(
     (possibly perturbed) parameters without any feedback, after the drive
     chain of ``SimPlant.apply`` at gain ``amplitude_scale``.
     """
-    _check_duration(pulse, params)
     u = total_propagator(pulse.scaled(amplitude_scale), params)
     if fom == "state-transfer":
         value = abs(u[1, 0]) ** 2

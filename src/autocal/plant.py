@@ -21,7 +21,6 @@ from .qubit import (
     DensityMatrix,
     PlantParams,
     PulseWaveform,
-    _check_duration,
     _propagator_stack,
     apply_unitary,
     pauli_rotation_propagator,
@@ -137,11 +136,6 @@ class SimPlant(PlantInterface):
     def prepare(self, idx: PreparationIndex) -> None:
         self._state = idx.density_matrix()
 
-    def _require_state(self) -> DensityMatrix:
-        if self._state is None:
-            raise ContractError("plant has no prepared state")
-        return self._state
-
     def apply(self, pulse: PulseWaveform) -> None:
         """Evolve the state through the distorted ``pulse``.
 
@@ -149,29 +143,28 @@ class SimPlant(PlantInterface):
         several preparations of one pulse propagates it once.  Identity is a
         safe key because a ``PulseWaveform``'s channels are read-only copies.
         """
-        rho = self._require_state()
+        rho = self.current_state()
         if self._last_pulse is not pulse:
-            _check_duration(pulse, self._true)
             self._last_unitary = total_propagator(pulse.scaled(self.config.amplitude_scale), self._true)
             self._last_pulse = pulse
         self._state = apply_unitary(rho, self._last_unitary)
 
     def apply_ideal_rotation(self, axis: str, duration: float) -> None:
         """Simulation only: one scan point's rotation, kept for tests and per-call tracing."""
-        rho = self._require_state()
+        rho = self.current_state()
         hx, hy = self._rotation_rates(axis)
         self._state = apply_unitary(rho, pauli_rotation_propagator(hx, hy, 0.0, duration))
 
     def apply_ideal_unitary(self, u: np.ndarray) -> None:
-        self._state = apply_unitary(self._require_state(), u)
+        self._state = apply_unitary(self.current_state(), u)
 
     def measure_population(self, which: str) -> float:
         """Simulation only: one scan point's readout, kept for tests and per-call tracing."""
-        return self._sample(population(self._require_state(), which))
+        return self._sample(population(self.current_state(), which))
 
     def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
         """The scan in one pass: the state is known, so no point needs a replay."""
-        rho = self._require_state().matrix
+        rho = self.current_state().matrix
         u, u_adjoint = _scan_rotations(*self._rotation_rates(axis), times.tobytes())
         p = (u @ rho @ u_adjoint)[:, 0, 0].real
         return self._sample(np.clip(p, 0.0, 1.0))
@@ -194,8 +187,10 @@ class SimPlant(PlantInterface):
         return self._rng.binomial(self.config.repetitions, p) / self.config.repetitions
 
     def current_state(self) -> DensityMatrix:
-        """Simulation only: the exact state, which tests compare against."""
-        return self._require_state()
+        """The exact state, read by every state operation; a device has no such call."""
+        if self._state is None:
+            raise ContractError("plant has no prepared state")
+        return self._state
 
     def set_state(self, rho: DensityMatrix) -> None:
         """Simulation only: start from an arbitrary state, as the tomography round trips do."""

@@ -287,24 +287,22 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def _check_duration(pulse: PulseWaveform, params: PlantParams) -> None:
-    """Reject a pulse whose duration differs from the plant's."""
-    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
-        raise ContractError("pulse duration does not match plant duration")
-
-
 def evolve_density(rho0: DensityMatrix, pulse: PulseWaveform, params: PlantParams) -> DensityMatrix:
     """Evolve under H(t) = 2 pi [Delta Sz + Omega (X(t) Sx + Y(t) Sy)].
 
     Piecewise-constant propagators per waveform sample, multiplied in time
     order; exactly unitary by construction.
     """
-    _check_duration(pulse, params)
     return apply_unitary(rho0, total_propagator(pulse, params))
 
 
 def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
-    """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators."""
+    """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators.
+
+    Every propagation passes here, so the duration rule lives here: a pulse must last ``params.duration``.
+    """
+    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
+        raise ContractError("pulse duration does not match plant duration")
     omega = TWO_PI * params.rabi_frequency
     alpha, beta = _cayley_klein(
         omega * pulse.x,

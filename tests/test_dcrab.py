@@ -20,7 +20,7 @@ from autocal.dcrab import (
 )
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes, total_propagator
-from autocal.tomography import FidelityEstimate
+from autocal.tomography import FidelityEstimate, FitFailure
 
 
 def make_plant(t_rel=1.5, det_rel=0.0):
@@ -549,6 +549,46 @@ class TestRunDcrab:
         monkeypatch.setattr(autocal.dcrab, "nelder_mead", no_evaluation)
         with pytest.raises(RuntimeError, match="no evaluation"):
             self.run_once(superiterations=1)
+
+    def test_every_evaluation_failing_raises_the_first_failure(self):
+        raised = []
+
+        def failing_fom(plant, pulse):
+            raised.append(FitFailure(0.2))
+            raise raised[-1]
+
+        config = DcrabConfig(seed=0, superiterations=2, max_evals_per_superiteration=12, n_t=200)
+        with pytest.raises(FitFailure) as err:
+            run_dcrab(make_plant(), failing_fom, config)
+        assert len(raised) > 12
+        assert err.value is raised[0]
+
+    def test_some_evaluations_failing_score_zero(self):
+        # every third evaluation fails; the run records it as a measured 0 and runs on as before
+        def fom(fail):
+            calls = []
+
+            def evaluate(plant, pulse):
+                calls.append(pulse)
+                if len(calls) % 3 == 1:
+                    if fail:
+                        raise FitFailure(0.2)
+                    return FidelityEstimate(0.0, 0.0)
+                return evaluate_pulse_open_loop(pulse, plant.nominal)
+
+            return evaluate
+
+        config = DcrabConfig(seed=4, superiterations=2, max_evals_per_superiteration=12, n_t=200)
+        failed, scored = (run_dcrab(make_plant(det_rel=0.3), fom(fail), config) for fail in (True, False))
+        assert failed.records[0].value == 0.0 and failed.best_fidelity.value > 0.0
+        assert failed.n_evaluations == scored.n_evaluations
+        for a, b in zip(failed.records, scored.records):
+            assert (a.superiteration, a.value, a.sigma, a.running_best) == (
+                b.superiteration, b.value, b.sigma, b.running_best
+            )
+            assert np.array_equal(a.coefficients, b.coefficients)
+        assert failed.best_fidelity == scored.best_fidelity
+        assert np.array_equal(failed.best_pulse.x, scored.best_pulse.x)
 
     def test_nan_measurement_scores_zero(self):
         # a real plant may return a non-finite population: that evaluation

@@ -597,6 +597,19 @@ class TestCli:
         assert code == 2
         assert "rabi_scan must return" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["invert", "gate"])
+    def test_every_evaluation_failing_is_runtime_failure(self, tmp_path, capsys, monkeypatch, command):
+        # at 2 shots per scan point, shot noise alone exceeds the Rabi fit's residual threshold;
+        # the run stops in the loop, before a gate's closing process tomography
+        monkeypatch.setattr(autocal.harness, "process_tomography", lambda *a: pytest.fail("tomography ran"))
+        out = tmp_path / "run"
+        args = [command, "--noise", "--shots", "2", "--detuning-rel", "1.0", "--seed", "1", "--out", str(out)]
+        assert main(args + self.FAST_ARGS) == 3
+        err = capsys.readouterr().err
+        prefix = "preparation PSI_1: " if command == "gate" else ""
+        assert f"runtime failure: {prefix}Rabi fit diverged (rms residual " in err
+        assert not (out / "summary.json").exists()
+
     def test_unknown_command_is_config_error(self):
         assert main(["frobnicate"]) == 2
 

@@ -161,6 +161,10 @@ class TestApply:
         with pytest.raises(ContractError):
             plant.apply(PulseWaveform.zero(0.75))
 
+    def test_current_state_before_prepare_rejected(self):
+        with pytest.raises(ContractError, match="plant has no prepared state"):
+            make_plant().current_state()
+
     def test_duration_mismatch_rejected_on_every_apply(self):
         plant = make_plant()
         plant.prepare(PreparationIndex.PSI_1)

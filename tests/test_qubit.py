@@ -289,6 +289,9 @@ class TestEvolveDensity:
         params = PlantParams(1.0, 0.0, 1.0)
         with pytest.raises(ContractError):
             evolve_density(DensityMatrix.pure_zero(), PulseWaveform.zero(0.5), params)
+        # every propagation passes through total_propagator, so a direct call is checked too
+        with pytest.raises(ContractError, match="pulse duration does not match plant duration"):
+            total_propagator(PulseWaveform.zero(0.5), params)
 
     def test_preserves_state_invariants(self):
         rng = np.random.default_rng(7)
