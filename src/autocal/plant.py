@@ -102,7 +102,9 @@ class PlantInterface(ABC):
     def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
         """P(|0>, t) for each of ``times``: replay since ``prepare``, rotate about ``axis``, read out.
 
-        The plant sets the shot count per point; ``run_rabi_scan`` has checked ``times``.
+        The rotation is a resonant drive at the nominal Rabi frequency, about +x for ``'x'``
+        and about -y for ``'y'``, so the curves of P(|0>) follow ``fit_rabi``'s model.  The
+        plant sets the shot count per point; ``run_rabi_scan`` has checked ``times``.
         """
 
 
@@ -170,13 +172,11 @@ class SimPlant(PlantInterface):
         return self._sample(np.clip(p, 0.0, 1.0))
 
     def _rotation_rates(self, axis: str) -> tuple[float, float]:
-        """(hx, hy) in rad/us of the resonant tomography drive about ``axis``."""
+        """(hx, hy) in rad/us of the tomography drive about ``axis``, as ``rabi_scan`` states."""
         omega = TWO_PI * self._nominal.rabi_frequency
         if axis == "x":
             return omega, 0.0
         if axis == "y":
-            # the y tomography drive rotates about -y; this sign makes the
-            # observed oscillation match the +b sin(2 pi w t) fit model
             return 0.0, -omega
         raise ContractError(f"unknown rotation axis {axis!r}")
 

@@ -313,9 +313,7 @@ def state_transfer_fom(
     pulse: PulseWaveform,
 ) -> FidelityEstimate:
     """F = reconstructed |-1> population after driving |0> with ``pulse``."""
-    plant.prepare(PreparationIndex.PSI_1)
-    plant.apply(pulse)
-    est = state_tomography(plant)
+    (est,) = _tomograph_preparations(plant, pulse, (PreparationIndex.PSI_1,))
     return FidelityEstimate(value=est.rho.a, sigma=est.sigma)
 
 
@@ -329,24 +327,25 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 def _tomograph_preparations(
     plant: PlantInterface,
     pulse: PulseWaveform,
+    preparations: tuple[PreparationIndex, ...],
     inverse: np.ndarray | None = None,
 ) -> list[StateEstimate]:
-    """State estimates, ordered by ``PreparationIndex``, after ``pulse`` (then ``inverse``).
+    """State estimates of ``preparations``, in order, after ``pulse`` (then ``inverse``).
 
     The same pulse object is applied each time, so ``SimPlant`` propagates it
-    once.  All eight scans run before one batched fit; the first failing
+    once.  Every scan runs before one batched fit; the first failing
     preparation's ``FitFailure`` names it.
     """
     times = default_rabi_times(plant.nominal.rabi_frequency)
     targets = []
-    for idx in PreparationIndex:
+    for idx in preparations:
         plant.prepare(idx)
         plant.apply(pulse)
         if inverse is not None:
             plant.apply_ideal_unitary(inverse)
         targets.append(np.concatenate(_scan_pair(plant, times)))
     fits = _fit_rows(np.array(targets), times, plant.nominal.rabi_frequency)
-    for idx, fit in zip(PreparationIndex, fits):
+    for idx, fit in zip(preparations, fits):
         if isinstance(fit, FitFailure):
             raise FitFailure(fit.residual, f"preparation {idx.name}")
     return [mle_project(fit) for fit in fits]
@@ -366,7 +365,7 @@ def gate_fom(
     a standard error of F.
     """
     inverse = _check_unitary(ideal_gate).conj().T
-    estimates = _tomograph_preparations(plant, pulse, inverse)
+    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), inverse)
     values = []
     for idx, est in zip(PreparationIndex, estimates):
         psi = idx.state_vector()
@@ -472,6 +471,6 @@ def process_tomography(
 ) -> ChiMatrix:
     """Full process tomography of ``pulse``: tomograph all four preparations."""
     return chi_from_final_states(
-        [est.rho for est in _tomograph_preparations(plant, pulse)]
+        [est.rho for est in _tomograph_preparations(plant, pulse, tuple(PreparationIndex))]
     )
 

@@ -606,8 +606,7 @@ class TestCli:
         args = [command, "--noise", "--shots", "2", "--detuning-rel", "1.0", "--seed", "1", "--out", str(out)]
         assert main(args + self.FAST_ARGS) == 3
         err = capsys.readouterr().err
-        prefix = "preparation PSI_1: " if command == "gate" else ""
-        assert f"runtime failure: {prefix}Rabi fit diverged (rms residual " in err
+        assert "runtime failure: preparation PSI_1: Rabi fit diverged (rms residual " in err
         assert not (out / "summary.json").exists()
 
     def test_unknown_command_is_config_error(self):
@@ -620,6 +619,27 @@ class TestCli:
     def test_bad_config_file_is_config_error(self, tmp_path):
         code = main(["scan", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "verb, flag, content",
+        [
+            ("qpt", "--pulse", None),
+            ("qpt", "--pulse", b"t_us,X,Y\n0.0,0.1\xff,0.0\n0.1,0.1,0.0\n"),
+            ("scan", "--config", b"[dcrab]\nseed = 1\xff\n"),
+        ],
+        ids=["pulse-directory", "pulse-not-utf8", "config-not-utf8"],
+    )
+    def test_unreadable_input_path_is_config_error(self, tmp_path, capsys, verb, flag, content):
+        # open() or the UTF-8 decoder raises here, before any check of the CLI's own
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code = main([verb, flag, str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exit_code(self, monkeypatch):
         import autocal.cli as cli

@@ -920,6 +920,24 @@ class TestBatchedPreparations:
             assert chi.matrix.tobytes() == chi_ref.matrix.tobytes()
             assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
 
+    @pytest.mark.parametrize("shots", [None, 100, 1_000, 10_000])
+    def test_state_transfer_matches_composition(self, shots):
+        # state transfer is the one-preparation case of the batched path, and equals
+        # prepare(PSI_1), apply and state_tomography bit for bit, random draws included
+        rng = np.random.default_rng(shots or 0)
+        params = PlantParams(OMEGA, 0.7, 0.75)
+        config = SimPlantConfig(detuning_offset=0.1, noiseless=shots is None, repetitions=shots or 1, seed=7)
+        batched, reference = SimPlant(params, config), SimPlant(params, config)
+        for _ in range(3):
+            pulse = PulseWaveform(0.75, rng.uniform(-0.5, 0.5, 1000), rng.uniform(-0.5, 0.5, 1000))
+            got = state_transfer_fom(batched, pulse)
+            reference.prepare(PreparationIndex.PSI_1)
+            reference.apply(pulse)
+            est = state_tomography(reference)
+            want = FidelityEstimate(est.rho.a, est.sigma)
+            assert (repr(got.value), repr(got.sigma)) == (repr(want.value), repr(want.sigma))
+            assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+
 
 class BadPreparationPlant(SimPlant):
     """Returns a non-finite sample in the scans of the ``nan_at`` preparation,
@@ -958,6 +976,14 @@ class TestBatchedFailure:
             process_tomography(plant, exact_g_pulse())
         assert str(err.value) == "preparation PSI_3: bad measurement (non-finite Rabi scan sample)"
         assert math.isnan(err.value.residual)
+
+    def test_state_transfer_failure_names_its_preparation(self):
+        plant = BadPreparationPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False))
+        plant.junk_at = PreparationIndex.PSI_1
+        with pytest.raises(FitFailure) as err:
+            state_transfer_fom(plant, exact_g_pulse())
+        assert str(err.value).startswith("preparation PSI_1: Rabi fit diverged")
+        assert err.value.residual > 0.15
 
 
 class ReshapedScanPlant(SimPlant):
