@@ -70,8 +70,11 @@ def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     parser = configparser.ConfigParser(default_section=None)  # [DEFAULT] is an ordinary, unknown section
-    if not parser.read(path):
-        raise ContractError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ContractError(f"cannot read config file {path}")
+    except UnicodeDecodeError as err:
+        raise ContractError(f"config file {path}: {err}") from err
     out: dict = {}
     for section in sorted(parser.sections(), key=lambda name: name != "DEFAULT"):  # [DEFAULT] first
         if section not in _FILE_KEYS:
@@ -218,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ContractError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, configparser.Error) as err:
+    except (ContractError, FileNotFoundError, IsADirectoryError, configparser.Error) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -23,7 +23,7 @@ from .qubit import (
     clip_amplitudes,
     total_propagator,
 )
-from .tomography import FidelityEstimate, FitFailure, gate_fom, state_transfer_fom
+from .tomography import FidelityEstimate, FitFailure, RabiFit, calibrate_scan, gate_fom, state_transfer_fom
 
 log = logging.getLogger(__name__)
 
@@ -279,16 +279,16 @@ def nelder_mead(
 # Figures of merit and the closed loop
 
 
-def make_fom(kind: str):
-    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate.
+def make_fom(kind: str, omega: float | None = None):
+    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate, fitting at ``omega`` if given.
 
-    The FoM function is looked up in this module at each call, so a
-    replacement patched onto the module attribute sees every evaluation.
+    The FoM function is looked up in this module at each call and given ``omega``
+    as a keyword, so a replacement patched onto the module attribute sees every evaluation.
     """
     if kind == "state-transfer":
-        return lambda plant, pulse: state_transfer_fom(plant, pulse)
+        return lambda plant, pulse: state_transfer_fom(plant, pulse, omega=omega)
     if kind == "gate":
-        return lambda plant, pulse: gate_fom(plant, pulse, GATE_G)
+        return lambda plant, pulse: gate_fom(plant, pulse, GATE_G, omega=omega)
     raise ContractError(f"unknown figure-of-merit kind {kind!r}")
 
 
@@ -307,6 +307,8 @@ class OptimizationResult:
     best_fidelity: FidelityEstimate
     records: list[EvaluationRecord]
     ledger: DcrabLedger
+    calibration: RabiFit | None  # the scan calibration's fit; None for a callable figure of merit
+    failures: list[FitFailure]  # of the evaluations that failed and scored 0, in order
 
     @property
     def fom_trace(self) -> np.ndarray:
@@ -331,13 +333,16 @@ def run_dcrab(
     """Run the full closed loop against ``plant``.
 
     ``fom`` is either a selector string ('state-transfer' or 'gate') or a
-    callable (plant, pulse) -> FidelityEstimate.  Each super-iteration
-    starts from zero active coefficients, so its first evaluation reproduces
-    the previous best pulse exactly; completed terms are frozen verbatim.
-    A failed evaluation scores 0 and is logged; if all failed, the run raises the first.
+    callable (plant, pulse) -> FidelityEstimate.  A selector first runs
+    ``calibrate_scan``, whose failure fails the run, and every evaluation
+    fits at its omega.  Each super-iteration starts from zero active
+    coefficients, so its first evaluation reproduces the previous best pulse
+    exactly; completed terms are frozen verbatim.  A failed evaluation
+    scores 0 and is logged; if all failed, the run raises the first.
     """
-    if isinstance(fom, str):
-        fom = make_fom(fom)
+    calibration = calibrate_scan(plant) if isinstance(fom, str) else None
+    if calibration is not None:
+        fom = make_fom(fom, calibration.omega)
     rng = np.random.default_rng(config.seed)
     params = plant.nominal
     ledger = DcrabLedger(duration=params.duration)
@@ -393,6 +398,8 @@ def run_dcrab(
         best_fidelity=best_estimate,
         records=records,
         ledger=ledger,
+        calibration=calibration,
+        failures=failures,
     )
 
 

@@ -62,7 +62,10 @@ def load_pulse_csv(path: Path | str) -> PulseWaveform:
     """Read a ``t_us,X,Y`` pulse file; any malformed content is a ``ContractError``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:  # a decode error in a later chunk is a ValueError, caught below
+            header = next(reader, None)
+        except UnicodeDecodeError as err:
+            raise ContractError(f"pulse CSV {path}: {err}") from err
         if header is None:
             raise ContractError(f"pulse CSV {path} is empty")
         if header != ["t_us", "X", "Y"]:
@@ -107,13 +110,18 @@ def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
             )
 
 
-def write_summary_json(result: OptimizationResult, path: Path | str) -> None:
+def write_summary_json(result: OptimizationResult, path: Path | str, rabi_frequency: float) -> None:
+    """The run's outcome; the scan calibration's omega is written relative to ``rabi_frequency``."""
+    cal = result.calibration
     summary = {
         "loop_kind": "closed-loop",
         "data_kind": "experimental-sim",
         "best_fidelity": result.best_fidelity.value,
         "best_sigma": result.best_fidelity.sigma,
         "n_evaluations": result.n_evaluations,
+        "n_failed_evaluations": len(result.failures),
+        "scan_omega_rel": None if cal is None else cal.omega / rabi_frequency,
+        "scan_calibration_rms": None if cal is None else cal.residual,
         "frozen_terms": [
             {
                 "freqs_x": term.freqs_x.tolist(),
@@ -177,7 +185,7 @@ def _run_demo(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trace_jsonl(result, out / "trace.jsonl")
-        write_summary_json(result, out / "summary.json")
+        write_summary_json(result, out / "summary.json", params.rabi_frequency)
         save_pulse_csv(result.best_pulse, out / "best_pulse.csv")
         if chi is not None:
             write_chi_json(chi, out / "chi.json")

@@ -32,18 +32,17 @@ CHI_BASIS_LABELS = ("I", "sigma_x", "-i*sigma_y", "sigma_z")
 
 
 class FitFailure(RuntimeError):
-    """A Rabi fit failed: a non-finite sample (``residual`` is NaN) or a residual above threshold."""
+    """A Rabi fit failed: a non-finite sample (``residual`` is NaN), a residual above threshold, or ``reason``."""
 
-    def __init__(self, residual: float, preparation: str = ""):
-        reason = f"Rabi fit diverged (rms residual {residual:.3g})"
+    def __init__(self, residual: float, preparation: str = "", reason: str = ""):
         if math.isnan(residual):
-            reason = "bad measurement (non-finite Rabi scan sample)"
+            reason = reason or "bad measurement (non-finite Rabi scan sample)"
+        reason = reason or f"Rabi fit diverged (rms residual {residual:.3g})"
         super().__init__(f"{preparation}: {reason}" if preparation else reason)
-        self.residual = residual
-        self.preparation = preparation
+        self.residual, self.preparation, self.reason = residual, preparation, reason
 
     def __reduce__(self):
-        return type(self), (self.residual, self.preparation)
+        return type(self), (self.residual, self.preparation, self.reason)
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,7 @@ _COARSE_POINTS = 121  # omega grid over [0.5, 1.5] * rabi_frequency, built once 
 _REFINE_TOL = 1e-12  # the refine stops after an omega step this small, relative to rabi_frequency
 _REFINE_STEPS = 20  # cap on the steps of the refine, its first downhill grid step included
 _X_THEN_Y_SIGNS = np.array([[1.0], [-1.0]])  # signs of c and b in the x and y curves' slopes
+_CALIBRATION_REPEATS = 10  # scan pairs averaged by calibrate_scan: 820 x repetitions shots once per run
 
 
 def _design(omegas: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,12 +155,13 @@ def _varpro(
 
 
 @functools.lru_cache(maxsize=4)
-def _coarse_grid(times_bytes: bytes, rabi_frequency: float) -> tuple[np.ndarray, ...]:
-    """Coarse omegas, their design matrices and pseudo-inverses (A^T A)^-1 A^T.
+def _coarse_grid(times_bytes: bytes, rabi_frequency: float, omega: float | None = None) -> tuple[np.ndarray, ...]:
+    """Coarse omegas over [0.5, 1.5] * rabi_frequency, or ``omega`` alone, with designs and (A^T A)^-1 A^T.
 
     None depends on the data, so one scan grid builds them once.
     """
-    omegas = np.linspace(0.5 * rabi_frequency, 1.5 * rabi_frequency, _COARSE_POINTS)
+    grid = (0.5 * rabi_frequency, 1.5 * rabi_frequency, _COARSE_POINTS)
+    omegas = np.linspace(*grid) if omega is None else np.array([omega])
     design = _design(omegas, np.frombuffer(times_bytes))[0]
     design_t = design.transpose(0, 2, 1)
     pinv = np.linalg.solve(design_t @ design, design_t)
@@ -209,48 +210,41 @@ def fit_rabi(
     return fit
 
 
-def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float) -> list:
+def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float, omega: float | None = None) -> list:
     """``fit_rabi`` of each row (x curve, then y curve) of ``targets`` (k, 2n), unchecked.
 
-    The rows refine in lockstep, one ``_varpro`` call per round on the rows
-    still refining; a failed row gives its ``FitFailure`` in place of a fit.
+    At a known ``omega`` the grid is that one frequency, with no refine.  A failed row gives its ``FitFailure``.
     """
-    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency))
+    omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency), omega)
     xtol = _REFINE_TOL * rabi_frequency
-    fits: list[RabiFit | FitFailure | None] = [None] * len(targets)
-    best, secant = {}, {}  # row -> lowest-SSE (sse, omega, params); row -> (w0, g0, w1)
-    for r, target in enumerate(targets):
+    fits: list[RabiFit | FitFailure] = []
+    for target in targets:
         if not np.isfinite(target).all():
-            fits[r] = FitFailure(math.nan)
+            fits.append(FitFailure(math.nan))
             continue
         params = (pinv.reshape(-1, target.size) @ target).reshape(-1, 4)  # one product for all omegas
         sses = (((design @ params[..., None])[..., 0] - target) ** 2).sum(axis=1)
         k = int(np.argmin(sses))
-        best[r] = (sses[k], omegas[k], params[k])
-        secant[r] = (math.nan, math.nan, float(omegas[k]))
-    live, round_ = list(secant), 0
-    while live and round_ <= _REFINE_STEPS:
-        params, sses, grads = _varpro(np.array([secant[r][2] for r in live]), times, targets[live])
-        refining = []
-        for r, p, sse, g1 in zip(live, params, sses, grads.tolist()):
-            w0, g0, w1 = secant[r]
-            if sse < best[r][0]:
-                best[r] = (sse, w1, p)
+        best = (sses[k], omegas[k], params[k])  # the lowest-SSE (sse, omega, params) visited
+        w0, g0, w1 = math.nan, math.nan, float(omegas[k])
+        for round_ in range(_REFINE_STEPS + 1 if omega is None else 0):
+            params, sses, grads = _varpro(np.array([w1]), times, target[None])
+            g1 = float(grads[0])
+            if sses[0] < best[0]:
+                best = (sses[0], w1, params[0])
             if round_ == 0:
                 step = -math.copysign(omegas[1] - omegas[0], g1)
             elif abs(w1 - w0) <= xtol or g1 == g0:
-                continue
+                break
             else:
                 step = -g1 * (w1 - w0) / (g1 - g0)
-            secant[r] = (w1, g1, min(max(w1 + step, omegas[0]), omegas[-1]))
-            refining.append(r)
-        live, round_ = refining, round_ + 1
-    for r, (sse, omega, (s, q, c, b)) in best.items():
+            w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
+        sse, w, (s, q, c, b) = best
         rms = math.sqrt(sse / (2 * times.size))
-        at_edge = bool(min(omega - omegas[0], omegas[-1] - omega) <= xtol)
-        fits[r] = FitFailure(rms) if rms > _RESIDUAL_THRESHOLD else RabiFit(
-            float(s - q), float(b), float(c), float(s + q), float(omega), rms, at_edge
-        )
+        at_edge = omega is None and bool(min(w - omegas[0], omegas[-1] - w) <= xtol)
+        fits.append(FitFailure(rms) if rms > _RESIDUAL_THRESHOLD else RabiFit(
+            float(s - q), float(b), float(c), float(s + q), float(w), rms, at_edge
+        ))
     return fits
 
 
@@ -308,12 +302,32 @@ def _scan_pair(plant: PlantInterface, times: np.ndarray) -> tuple:
     return run_rabi_scan(plant, "x", times), run_rabi_scan(plant, "y", times)
 
 
+def calibrate_scan(plant: PlantInterface) -> RabiFit:
+    """The scan drive's Rabi frequency, measured once for a run: ``fit_rabi``'s free search on the mean
+    of ``_CALIBRATION_REPEATS`` x and y scan pairs of |0> (a scan leaves the state as it was).
+
+    A failed fit, or an omega on the edge of [0.5, 1.5] * Omega, raises ``FitFailure`` ("scan calibration: ...").
+    """
+    times = default_rabi_times(plant.nominal.rabi_frequency)
+    plant.prepare(PreparationIndex.PSI_1)
+    x_curve, y_curve = np.mean([_scan_pair(plant, times) for _ in range(_CALIBRATION_REPEATS)], axis=0)
+    try:
+        fit = fit_rabi(x_curve, y_curve, times, plant.nominal.rabi_frequency)
+    except FitFailure as err:
+        raise FitFailure(err.residual, "scan calibration") from err
+    if fit.at_edge:
+        reason = f"Rabi frequency outside [0.5, 1.5] x nominal (fitted {fit.omega:.4g} MHz, on the edge)"
+        raise FitFailure(fit.residual, "scan calibration", reason)
+    return fit
+
+
 def state_transfer_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
+    omega: float | None = None,
 ) -> FidelityEstimate:
-    """F = reconstructed |-1> population after driving |0> with ``pulse``."""
-    (est,) = _tomograph_preparations(plant, pulse, (PreparationIndex.PSI_1,))
+    """F = reconstructed |-1> population after driving |0> with ``pulse``, fitted at ``omega`` if given."""
+    (est,) = _tomograph_preparations(plant, pulse, (PreparationIndex.PSI_1,), omega=omega)
     return FidelityEstimate(value=est.rho.a, sigma=est.sigma)
 
 
@@ -329,12 +343,13 @@ def _tomograph_preparations(
     pulse: PulseWaveform,
     preparations: tuple[PreparationIndex, ...],
     inverse: np.ndarray | None = None,
+    omega: float | None = None,
 ) -> list[StateEstimate]:
     """State estimates of ``preparations``, in order, after ``pulse`` (then ``inverse``).
 
     The same pulse object is applied each time, so ``SimPlant`` propagates it
-    once.  Every scan runs before one batched fit; the first failing
-    preparation's ``FitFailure`` names it.
+    once.  Every scan runs before one ``_fit_rows`` call, at ``omega`` if
+    given; the first failing preparation's ``FitFailure`` names it.
     """
     times = default_rabi_times(plant.nominal.rabi_frequency)
     targets = []
@@ -344,7 +359,7 @@ def _tomograph_preparations(
         if inverse is not None:
             plant.apply_ideal_unitary(inverse)
         targets.append(np.concatenate(_scan_pair(plant, times)))
-    fits = _fit_rows(np.array(targets), times, plant.nominal.rabi_frequency)
+    fits = _fit_rows(np.array(targets), times, plant.nominal.rabi_frequency, omega)
     for idx, fit in zip(preparations, fits):
         if isinstance(fit, FitFailure):
             raise FitFailure(fit.residual, f"preparation {idx.name}")
@@ -355,17 +370,18 @@ def gate_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
     ideal_gate: np.ndarray,
+    omega: float | None = None,
 ) -> FidelityEstimate:
     """Average return probability over the four input states.
 
     Each input is prepared, driven with the candidate pulse, undone with the
     exact inverse of the ideal gate, and its overlap with the input read off
-    the tomographic reconstruction.  ``sigma`` is the mean of the four
-    per-state sigmas, each a distance from purity (see ``mle_project``), not
-    a standard error of F.
+    the tomographic reconstruction, fitted at ``omega`` if given.  ``sigma``
+    is the mean of the four per-state sigmas, each a distance from purity
+    (see ``mle_project``), not a standard error of F.
     """
     inverse = _check_unitary(ideal_gate).conj().T
-    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), inverse)
+    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), inverse, omega)
     values = []
     for idx, est in zip(PreparationIndex, estimates):
         psi = idx.state_vector()

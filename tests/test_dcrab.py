@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import autocal.dcrab
 import autocal.plant
+import autocal.tomography
 from autocal.dcrab import (
     BasisTerm,
     DcrabConfig,
@@ -597,7 +598,7 @@ class TestRunDcrab:
             def rabi_scan(self, axis, times):
                 values = super().rabi_scan(axis, times)
                 self.scans += 1
-                if self.scans == 5:  # the x scan of the third evaluation
+                if self.scans == 20 + 5:  # the x scan of the third evaluation, after the calibration's 20 scans
                     values = values.copy()
                     values[3] = math.nan
                 return values
@@ -677,6 +678,69 @@ class TestRunDcrab:
             if result.best_fidelity.value > plateau + 1e-3:
                 escapes += 1
         assert escapes >= 45
+
+
+class ScanCountingPlant(SimPlant):
+    """Counts scans; a scan drive at ``rate`` times the nominal Rabi frequency."""
+
+    scans = 0
+    rate = 1.0
+
+    def rabi_scan(self, axis, times):
+        self.scans += 1
+        return super().rabi_scan(axis, times)
+
+    def _rotation_rates(self, axis):
+        hx, hy = super()._rotation_rates(axis)
+        return self.rate * hx, self.rate * hy
+
+
+class TestScanCalibration:
+    CONFIG = DcrabConfig(seed=2, superiterations=2, max_evals_per_superiteration=12, n_t=200)
+
+    @pytest.mark.parametrize("kind, name", [("state-transfer", "state_transfer_fom"), ("gate", "gate_fom")])
+    def test_every_evaluation_reaches_the_module_fom_at_the_calibrated_omega(self, monkeypatch, kind, name):
+        # the benchmark patches these module attributes and forwards *args, **kwargs;
+        # the calibration's 20 scans come first and call no figure of merit
+        calls = []
+        original = getattr(autocal.tomography, name)
+
+        def spy(*args, **kwargs):
+            calls.append((plant.scans, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(autocal.dcrab, name, spy)
+        plant = ScanCountingPlant(PlantParams(1.0, 0.3, 0.75), SimPlantConfig(noiseless=False, seed=3))
+        result = run_dcrab(plant, kind, self.CONFIG)
+        assert len(calls) == result.n_evaluations
+        assert calls[0][0] == 20
+        assert all(kwargs == {"omega": result.calibration.omega} for _, kwargs in calls)
+
+    def test_callable_fom_runs_without_calibration(self):
+        plant = ScanCountingPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig())
+        result = run_dcrab(plant, lambda plant, pulse: evaluate_pulse_open_loop(pulse, plant.nominal), self.CONFIG)
+        assert result.calibration is None and plant.scans == 0
+
+    def test_fast_scan_drive_is_measured_and_fitted_noiselessly(self):
+        # a scan drive 1% fast: the calibration measures it, so the noiseless loop stays exact
+        plant = ScanCountingPlant(PlantParams(1.0, 0.5, 0.75), SimPlantConfig())
+        plant.rate = 1.01
+        result = run_dcrab(plant, "state-transfer", self.CONFIG)
+        assert abs(result.calibration.omega - 1.01) <= 1e-12
+        exact = evaluate_pulse_open_loop(result.best_pulse, plant.nominal).value
+        assert abs(result.best_fidelity.value - exact) <= 1e-9
+
+    def test_failures_are_kept_in_order(self):
+        raised = []
+
+        def fom(plant, pulse):
+            if len(raised) < 3:
+                raised.append(FitFailure(0.2 + len(raised)))
+                raise raised[-1]
+            return evaluate_pulse_open_loop(pulse, plant.nominal)
+
+        result = run_dcrab(make_plant(), fom, self.CONFIG)
+        assert result.failures == raised and result.n_evaluations > 3
 
 
 class TestOpenLoopEvaluation:

@@ -20,6 +20,7 @@ import autocal.harness
 import autocal.plant
 from autocal.cli import build_parser, main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
+from autocal.dcrab import run_dcrab
 from autocal.harness import (
     ScanSpec,
     derived_seed,
@@ -29,7 +30,9 @@ from autocal.harness import (
     run_scan,
     run_state_transfer_demo,
     save_pulse_csv,
+    write_summary_json,
 )
+from autocal.plant import SimPlant, SimPlantConfig
 from autocal.qubit import ContractError, PulseWaveform
 from autocal.tomography import FitFailure
 
@@ -638,7 +641,8 @@ class TestCli:
             path.write_bytes(content)
         code = main([verb, flag, str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "configuration error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and str(path) in err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exit_code(self, monkeypatch):
@@ -649,6 +653,93 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_state_transfer_demo", boom)
         assert main(["invert"]) == 3
+
+
+class TestSummaryFields:
+    def test_noiseless_run_records_its_calibration(self, tmp_path):
+        result = run_state_transfer_demo(DcrabConfig(seed=3, **FAST), det_rel=0.5, t_rel=1.5, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["scan_omega_rel"] == result.calibration.omega == 1.0  # the nominal Rabi frequency is 1 MHz
+        assert summary["scan_calibration_rms"] == result.calibration.residual < 1e-13
+        assert summary["n_failed_evaluations"] == 0
+
+    def test_mostly_failed_run_counts_its_failures(self, tmp_path):
+        # at 5 shots per scan point shot noise fails many evaluations' fits; each scores 0
+        out = tmp_path / "run"
+        args = ["invert", "--noise", "--shots", "5", "--detuning-rel", "1.0", "--seed", "1"]
+        assert main(args + ["--superiterations", "2", "--max-evals", "20", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        zero_rows = sum(row["fom"] == 0.0 and row["sigma"] == 0.0 for row in rows)
+        assert 0 < summary["n_failed_evaluations"] == zero_rows < summary["n_evaluations"] == len(rows)
+        assert 0.5 <= summary["scan_omega_rel"] <= 1.5
+
+    def test_callable_fom_run_has_no_calibration(self, tmp_path):
+        plant = SimPlant(params_from_relative(1.5, 0.0), SimPlantConfig())
+        result = run_dcrab(plant, lambda plant, pulse: evaluate_pulse_open_loop(pulse, plant.nominal), DcrabConfig(**FAST))
+        write_summary_json(result, tmp_path / "summary.json", plant.nominal.rabi_frequency)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["scan_omega_rel"] is None and summary["scan_calibration_rms"] is None
+        assert summary["n_failed_evaluations"] == 0
+
+
+class NanCalibrationPlant(SimPlant):
+    """Returns a non-finite sample in its first scan, which is the scan calibration's."""
+
+    scans = 0
+
+    def rabi_scan(self, axis, times):
+        values = super().rabi_scan(axis, times)
+        self.scans += 1
+        if self.scans == 1:
+            values = values.copy()
+            values[7] = math.nan
+        return values
+
+
+class FastDrivePlant(SimPlant):
+    """Its scan drive runs at 1.6 times the nominal Rabi frequency, outside the calibration's range."""
+
+    def _rotation_rates(self, axis):
+        hx, hy = super()._rotation_rates(axis)
+        return 1.6 * hx, 1.6 * hy
+
+
+CALIBRATION_FAILURES = pytest.mark.parametrize(
+    "plant_type, message",
+    [
+        (NanCalibrationPlant, "scan calibration: bad measurement (non-finite Rabi scan sample)"),
+        (FastDrivePlant, "scan calibration: Rabi frequency outside [0.5, 1.5] x nominal (fitted 1.5 MHz, on the edge)"),
+    ],
+    ids=["nan", "at-edge"],
+)
+
+
+class TestScanCalibrationFailure:
+    @CALIBRATION_FAILURES
+    @pytest.mark.parametrize("fom", ["state-transfer", "gate"])
+    def test_run_dcrab_raises_before_any_evaluation(self, monkeypatch, plant_type, message, fom):
+        monkeypatch.setattr(autocal.dcrab, "make_fom", lambda *a: pytest.fail("an evaluation ran"))
+        plant = plant_type(params_from_relative(1.5, 0.5), SimPlantConfig(noiseless=False, seed=1))
+        with pytest.raises(FitFailure) as err:
+            run_dcrab(plant, fom, DcrabConfig(**FAST))
+        assert str(err.value) == message
+
+    @CALIBRATION_FAILURES
+    @pytest.mark.parametrize("command", ["invert", "gate"])
+    def test_cli_exits_3_without_outputs(self, tmp_path, capsys, monkeypatch, plant_type, message, command):
+        monkeypatch.setattr(autocal.harness, "SimPlant", plant_type)
+        out = tmp_path / "run"
+        assert main([command, "--out", str(out)] + TestCli.FAST_ARGS) == 3
+        assert f"runtime failure: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @CALIBRATION_FAILURES
+    def test_scan_counts_the_run_in_failed(self, monkeypatch, plant_type, message):
+        monkeypatch.setattr(autocal.harness, "SimPlant", plant_type)
+        result = run_scan(TestScan.SPEC, workers=1)
+        assert np.all(result.failed == TestScan.SPEC.runs)
+        assert np.all(result.mean == 0.0) and not result.best_pulses
 
 
 VERBS = ("invert", "gate", "scan", "compare-openloop", "qpt")

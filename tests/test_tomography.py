@@ -19,6 +19,7 @@ from autocal.qubit import (
     PulseWaveform,
     SIGMA_X,
     apply_unitary,
+    total_propagator,
 )
 from autocal.tomography import (
     CHI_BASIS,
@@ -27,6 +28,7 @@ from autocal.tomography import (
     FitFailure,
     RabiFit,
     analytic_chi_of_unitary,
+    calibrate_scan,
     chi_construction_discrepancy,
     chi_from_final_states,
     chi_matrix_as_published,
@@ -1012,3 +1014,172 @@ class TestScanContract:
             else:
                 state_transfer_fom(plant, exact_g_pulse())
 
+
+
+class ScaledScanPlant(SimPlant):
+    """A plant whose tomography drive runs at ``rate`` times the nominal Rabi frequency."""
+
+    def __init__(self, nominal, config=None, rate=1.0):
+        super().__init__(nominal, config)
+        self.rate = rate
+
+    def _rotation_rates(self, axis):
+        hx, hy = super()._rotation_rates(axis)
+        return self.rate * hx, self.rate * hy
+
+
+class CountingPlant(SimPlant):
+    """Counts preparations, scans and scan points."""
+
+    prepares = scans = points = 0
+
+    def prepare(self, idx):
+        super().prepare(idx)
+        self.prepares += 1
+
+    def rabi_scan(self, axis, times):
+        self.scans += 1
+        self.points += times.size
+        return super().rabi_scan(axis, times)
+
+
+def lstsq_fit_at(target, omega, times=TIMES):
+    """Reference: (s, q, c, b) and rms residual of one lstsq at a known omega."""
+    theta = 2.0 * math.pi * omega * times
+    zero, one = np.zeros_like(times), np.ones_like(times)
+    design = np.vstack(
+        [
+            np.column_stack([one, np.cos(theta), -np.sin(theta), zero]),
+            np.column_stack([one, np.cos(theta), zero, np.sin(theta)]),
+        ]
+    )
+    params = np.linalg.lstsq(design, target, rcond=None)[0]
+    return params, math.sqrt(np.mean((design @ params - target) ** 2))
+
+
+def exact_transfer(pulse, params):
+    return abs(total_propagator(pulse, params)[1, 0]) ** 2
+
+
+def rms(values):
+    return math.sqrt(np.mean(np.square(values)))
+
+
+class TestKnownFrequencyFit:
+    @given(
+        st.floats(0.6, 1.4),
+        st.lists(st.floats(0.0, 1.0), min_size=82, max_size=82),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lstsq_at_that_frequency(self, omega, target):
+        target = np.array(target)
+        (fit,) = _fit_rows(target[None], TIMES, OMEGA, omega=omega)
+        (s, q, c, b), ref_rms = lstsq_fit_at(target, omega)
+        if ref_rms > _RESIDUAL_THRESHOLD:
+            assert isinstance(fit, FitFailure) and fit.residual == pytest.approx(ref_rms, rel=1e-9)
+            return
+        assert (fit.omega, fit.at_edge) == (omega, False)
+        assert fit.residual == pytest.approx(ref_rms, rel=1e-9, abs=1e-15)
+        for got, want in ((fit.a, s - q), (fit.b, b), (fit.c, c), (fit.d, s + q)):
+            assert abs(got - want) <= 1e-10
+
+    def test_noiseless_curves_exact_at_their_frequency(self):
+        truth = dict(a=0.2, b=0.24, c=-0.32, d=0.8)
+        target = np.concatenate(model_curves(**truth, omega=1.07))
+        (fit,) = _fit_rows(target[None], TIMES, OMEGA, omega=1.07)
+        assert fit.residual <= 1e-13
+        for name, value in truth.items():
+            assert abs(getattr(fit, name) - value) <= 1e-12
+
+    def test_failure_rules_unchanged(self):
+        # a non-finite sample and a residual above threshold fail as in the free search
+        rng = np.random.default_rng(8)
+        junk = rng.uniform(0.0, 1.0, 2 * TIMES.size)
+        bad = np.concatenate(model_curves(0.2, 0.24, -0.32, 0.8))
+        bad[5] = math.nan
+        junk_fit, bad_fit = _fit_rows(np.array([junk, bad]), TIMES, OMEGA, omega=OMEGA)
+        assert str(junk_fit).startswith("Rabi fit diverged (rms residual ")
+        assert junk_fit.residual == pytest.approx(lstsq_fit_at(junk, OMEGA)[1], rel=1e-9)
+        assert math.isnan(bad_fit.residual)
+        assert str(bad_fit) == "bad measurement (non-finite Rabi scan sample)"
+
+    def test_noiseless_foms_at_the_drive_frequency_are_exact(self):
+        state_plant = make_plant(duration=0.5, detuning=1.0)
+        pulse = PulseWaveform.constant(1.0, 0.0, 0.5, 400)
+        expected = 0.5 * math.sin(math.pi * math.sqrt(2.0) * 0.5) ** 2
+        assert state_transfer_fom(state_plant, pulse, omega=OMEGA).value == pytest.approx(expected, abs=1e-12)
+        assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), GATE_G, omega=OMEGA).value == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+
+class TestCalibrateScan:
+    @pytest.mark.parametrize("rate", [1.0, 0.8, 1.01, 1.3])
+    def test_noiseless_calibration_measures_the_drive(self, rate):
+        plant = ScaledScanPlant(PlantParams(OMEGA, 0.0, 0.75), SimPlantConfig(), rate=rate)
+        fit = calibrate_scan(plant)
+        assert abs(fit.omega - rate * OMEGA) <= 1e-12
+        assert fit.residual <= 1e-13 and not fit.at_edge
+
+    def test_costs_one_preparation_and_820_points_per_shot_count(self):
+        plant = CountingPlant(PlantParams(OMEGA, 0.0, 0.75), SimPlantConfig(noiseless=False, seed=4))
+        calibrate_scan(plant)
+        assert (plant.prepares, plant.scans, plant.points) == (1, 20, 820)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("nan", "scan calibration: bad measurement (non-finite Rabi scan sample)"),
+            ("junk", "scan calibration: Rabi fit diverged (rms residual "),
+            ("fast", "scan calibration: Rabi frequency outside [0.5, 1.5] x nominal (fitted 1.5 MHz, on the edge)"),
+            ("slow", "scan calibration: Rabi frequency outside [0.5, 1.5] x nominal (fitted 0.5 MHz, on the edge)"),
+        ],
+    )
+    def test_failure_names_the_calibration(self, kind, message):
+        params, config = PlantParams(OMEGA, 0.0, 0.75), SimPlantConfig(noiseless=False, seed=6)
+        if kind in ("nan", "junk"):
+            plant = BadPreparationPlant(params, config)
+            setattr(plant, f"{kind}_at", PreparationIndex.PSI_1)
+        else:
+            plant = ScaledScanPlant(params, config, rate={"fast": 1.6, "slow": 0.45}[kind])
+        with pytest.raises(FitFailure) as err:
+            calibrate_scan(plant)
+        assert str(err.value).startswith(message)
+        assert err.value.preparation == "scan calibration"
+        copy = pickle.loads(pickle.dumps(err.value))  # it may cross a scan's process pool
+        assert (type(copy), str(copy)) == (FitFailure, str(err.value))
+
+
+class TestCalibratedShotNoise:
+    @pytest.mark.parametrize("shots", [10_000, 1_000])
+    def test_calibrated_fit_beats_free_search(self, shots):
+        # 1000 (pulse, plant seed) pairs per shot count at Delta/Omega = 1 and T = 1.5 T_pi,
+        # each plant calibrated on its own; the free search fits the same plant's next scans
+        params = PlantParams(OMEGA, 1.0, 0.75)
+        rng = np.random.default_rng(shots)
+        calibrated, free = [], []
+        for seed in range(1000):
+            pulse = PulseWaveform.constant(*rng.uniform(-0.5, 0.5, 2), params.duration, 20)
+            exact = exact_transfer(pulse, params)
+            plant = SimPlant(params, SimPlantConfig(noiseless=False, repetitions=shots, seed=seed))
+            omega = calibrate_scan(plant).omega
+            calibrated.append(state_transfer_fom(plant, pulse, omega=omega).value - exact)
+            free.append(state_transfer_fom(plant, pulse).value - exact)
+        assert rms(calibrated) <= 0.8 * rms(free)
+
+    def test_fast_scan_drive_stays_within_shot_noise(self):
+        # 200 (pulse, plant seed) pairs at 1e4 shots; the fast plant's scan drive runs 1% above
+        # nominal, and each plant is calibrated on its own
+        params = PlantParams(OMEGA, 1.0, 0.75)
+        rng = np.random.default_rng(101)
+        nominal, fast, fixed = [], [], []
+        for seed in range(200):
+            pulse = PulseWaveform.constant(*rng.uniform(-0.5, 0.5, 2), params.duration, 20)
+            exact = exact_transfer(pulse, params)
+            config = SimPlantConfig(noiseless=False, seed=seed)
+            for errors, rate in ((nominal, 1.0), (fast, 1.01)):
+                plant = ScaledScanPlant(params, config, rate=rate)
+                errors.append(state_transfer_fom(plant, pulse, omega=calibrate_scan(plant).omega).value - exact)
+            fixed.append(state_transfer_fom(plant, pulse, omega=OMEGA).value - exact)  # the fast plant
+        assert rms(fast) <= 3.0 * rms(nominal)
+        assert rms(fixed) > 3.0 * rms(nominal)  # omega fixed at nominal fails the same bound
