@@ -62,7 +62,7 @@ def _floats(text: str) -> tuple[float, ...]:
 # Accepted config-file sections and keys, each with its parser
 _FILE_KEYS = {
     "dcrab": {f.name: type(f.default) for f in fields(DcrabConfig)},
-    "scan": {"t_rels": _floats, "det_rels": _floats, "runs": int, "master_seed": int},
+    "scan": {"t_rels": _floats, "det_rels": _floats, "runs": int},
 }
 
 
@@ -160,12 +160,9 @@ def _cmd_demo(args) -> int:
 def _cmd_scan(args) -> int:
     file_values = _read_config_file(args.config)
     scan_kwargs = file_values.get("scan", {})
-    dcrab_values = file_values.get("dcrab", {})
-    if "master_seed" in scan_kwargs:  # [scan] master_seed beats [dcrab] seed; --seed beats both
-        dcrab_values["seed"] = scan_kwargs.pop("master_seed")
     if args.runs is not None:
         scan_kwargs["runs"] = args.runs
-    spec = ScanSpec(base_config=_dcrab_config(args, dcrab_values), **scan_kwargs)
+    spec = ScanSpec(base_config=_dcrab_config(args, file_values.get("dcrab")), **scan_kwargs)
     result = run_scan(spec, workers=args.workers, out_dir=args.out)
     print(f"scan of {len(spec.t_rels)}x{len(spec.det_rels)} cells, {spec.runs} runs each")
     print(f"grid mean fidelity {result.mean.mean():.4f}; outputs written to {args.out}")

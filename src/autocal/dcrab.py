@@ -27,6 +27,9 @@ from .tomography import FidelityEstimate, FitFailure, RabiFit, calibrate_scan, g
 
 log = logging.getLogger(__name__)
 
+COEFFICIENT_SCALE = 1.0  # every simplex's initial step along each coefficient
+SIMPLEX_TOL = 0.01  # the simplex diameter that ends a super-iteration's search
+
 
 @dataclass(frozen=True)
 class DcrabConfig:
@@ -34,8 +37,6 @@ class DcrabConfig:
     superiterations: int = 6
     max_evals_per_superiteration: int = 40
     target_fidelity: float = 0.99
-    simplex_tol: float = 0.01
-    coefficient_scale: float = 1.0
     seed: int = 0
     n_t: int = 1000
 
@@ -48,10 +49,6 @@ class DcrabConfig:
             raise ContractError("target_fidelity must lie in (0, 1]")
         if self.n_t < 2:
             raise ContractError("n_t must be >= 2")
-        if not (math.isfinite(self.coefficient_scale) and self.coefficient_scale != 0.0):
-            raise ContractError("coefficient_scale must be finite and non-zero")
-        if not (math.isfinite(self.simplex_tol) and self.simplex_tol >= 0.0):
-            raise ContractError("simplex_tol must be finite and >= 0")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
 
@@ -285,11 +282,15 @@ def make_fom(kind: str, omega: float | None = None):
     The FoM function is looked up in this module at each call and given ``omega``
     as a keyword, so a replacement patched onto the module attribute sees every evaluation.
     """
-    if kind == "state-transfer":
+    if _check_kind(kind) == "state-transfer":
         return lambda plant, pulse: state_transfer_fom(plant, pulse, omega=omega)
-    if kind == "gate":
-        return lambda plant, pulse: gate_fom(plant, pulse, GATE_G, omega=omega)
-    raise ContractError(f"unknown figure-of-merit kind {kind!r}")
+    return lambda plant, pulse: gate_fom(plant, pulse, GATE_G, omega=omega)
+
+
+def _check_kind(kind: str) -> str:
+    if kind not in ("state-transfer", "gate"):
+        raise ContractError(f"unknown figure-of-merit kind {kind!r}")
+    return kind
 
 
 @dataclass
@@ -340,8 +341,10 @@ def run_dcrab(
     exactly; completed terms are frozen verbatim.  A failed evaluation
     scores 0 and is logged; if all failed, the run raises the first.
     """
-    calibration = calibrate_scan(plant) if isinstance(fom, str) else None
-    if calibration is not None:
+    calibration = None
+    if isinstance(fom, str):
+        _check_kind(fom)  # an unknown kind fails before the calibration spends a scan
+        calibration = calibrate_scan(plant)
         fom = make_fom(fom, calibration.omega)
     rng = np.random.default_rng(config.seed)
     params = plant.nominal
@@ -381,9 +384,9 @@ def run_dcrab(
         nm = nelder_mead(
             objective,
             np.zeros(4 * config.n_components),
-            config.coefficient_scale,
+            COEFFICIENT_SCALE,
             config.max_evals_per_superiteration,
-            config.simplex_tol,
+            SIMPLEX_TOL,
             target=config.target_fidelity,
         )
         ledger.frozen.append(ledger.active.with_coeffs(nm.best_x))
@@ -416,14 +419,12 @@ def evaluate_pulse_open_loop(
     chain of ``SimPlant.apply`` at gain ``amplitude_scale``.
     """
     u = total_propagator(pulse.scaled(amplitude_scale), params)
-    if fom == "state-transfer":
+    if _check_kind(fom) == "state-transfer":
         value = abs(u[1, 0]) ** 2
-    elif fom == "gate":
+    else:
         probs = []
         for idx in PreparationIndex:
             psi = idx.state_vector()
             probs.append(abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2)
         value = float(np.mean(probs))
-    else:
-        raise ContractError(f"unknown figure-of-merit kind {fom!r}")
     return FidelityEstimate(value=value, sigma=0.0)

@@ -339,7 +339,6 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
             t_rels=list(spec.t_rels),
             det_rels=list(spec.det_rels),
             runs=spec.runs,
-            master_seed=spec.base_config.seed,
             rabi_frequency=DEFAULT_RABI_FREQUENCY,
             dcrab=asdict(spec.base_config),
         )

@@ -351,6 +351,8 @@ def _tomograph_preparations(
     once.  Every scan runs before one ``_fit_rows`` call, at ``omega`` if
     given; the first failing preparation's ``FitFailure`` names it.
     """
+    if omega is not None and not (math.isfinite(omega) and omega > 0.0):
+        raise ContractError("omega must be positive and finite")
     times = default_rabi_times(plant.nominal.rabi_frequency)
     targets = []
     for idx in preparations:

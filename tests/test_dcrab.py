@@ -48,12 +48,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("coefficient_scale", 0.0),  # a zero-size simplex never moves
-            ("coefficient_scale", math.nan),
-            ("coefficient_scale", math.inf),
-            ("simplex_tol", math.nan),  # would switch convergence off
-            ("simplex_tol", math.inf),
-            ("simplex_tol", -0.01),
             ("seed", -1),
             ("n_components", 0),
             ("superiterations", 0),
@@ -643,7 +637,7 @@ class TestRunDcrab:
             " (non-finite Rabi scan sample)); scoring 0"
         ]
 
-    def test_trap_escape_statistics(self):
+    def test_trap_escape_statistics(self, monkeypatch):
         # synthetic landscape needing two distinct frequencies on X: one
         # super-iteration (single component) plateaus, basis changes unlock it
         duration = 1.0
@@ -663,6 +657,7 @@ class TestRunDcrab:
             return FidelityEstimate(value=max(0.0, 1.0 - 5.0 * err), sigma=0.0)
 
         params = PlantParams(1.0, 0.0, duration)
+        monkeypatch.setattr(autocal.dcrab, "SIMPLEX_TOL", 1e-3)
         escapes = 0
         for seed in range(50):
             config = DcrabConfig(
@@ -670,7 +665,6 @@ class TestRunDcrab:
                 superiterations=6,
                 target_fidelity=1.0,
                 n_t=400,
-                simplex_tol=1e-3,
             )
             plant = SimPlant(params, SimPlantConfig())
             result = run_dcrab(plant, profile_fom, config)
@@ -715,6 +709,14 @@ class TestScanCalibration:
         assert len(calls) == result.n_evaluations
         assert calls[0][0] == 20
         assert all(kwargs == {"omega": result.calibration.omega} for _, kwargs in calls)
+
+    def test_unknown_kind_fails_before_the_calibration(self):
+        plant = ScanCountingPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig(noiseless=False, seed=3))
+        state = plant._rng.bit_generator.state
+        with pytest.raises(ContractError, match="unknown figure-of-merit kind 'energy'"):
+            run_dcrab(plant, "energy", self.CONFIG)
+        assert plant.scans == 0
+        assert plant._rng.bit_generator.state == state
 
     def test_callable_fom_runs_without_calibration(self):
         plant = ScanCountingPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig())

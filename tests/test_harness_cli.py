@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +249,7 @@ class TestScan:
             spec = replace(self.SPEC, base_config=DcrabConfig(seed=seed, **FAST))
             results[seed] = run_scan(spec, out_dir=tmp_path / str(seed))
             manifest = json.loads((tmp_path / str(seed) / "manifest.json").read_text())
-            assert manifest["master_seed"] == manifest["dcrab"]["seed"] == seed
+            assert manifest["dcrab"]["seed"] == seed and "master_seed" not in manifest
         assert not np.array_equal(results[1].mean, results[2].mean)
 
 
@@ -325,8 +325,8 @@ class TestCli:
     def test_scan_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(
-            "[dcrab]\nsuperiterations = 2\nmax_evals_per_superiteration = 12\nn_t = 200\n"
-            "[scan]\nt_rels = 1.0,1.5\ndet_rels = 0.0\nruns = 1\nmaster_seed = 4\n"
+            "[dcrab]\nsuperiterations = 2\nmax_evals_per_superiteration = 12\nn_t = 200\nseed = 4\n"
+            "[scan]\nt_rels = 1.0,1.5\ndet_rels = 0.0\nruns = 1\n"
         )
         out = tmp_path / "scan"
         code = main(["scan", "--config", str(cfg), "--out", str(out)])
@@ -354,8 +354,8 @@ class TestCli:
     def test_cli_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(
-            "[dcrab]\nsuperiterations = 1\nmax_evals_per_superiteration = 12\nn_t = 200\n"
-            "[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\nmaster_seed = 1\n"
+            "[dcrab]\nsuperiterations = 1\nmax_evals_per_superiteration = 12\nn_t = 200\nseed = 1\n"
+            "[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\n"
         )
         out = tmp_path / "scan"
         code = main(
@@ -363,8 +363,7 @@ class TestCli:
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["master_seed"] == 5
-        assert manifest["dcrab"]["seed"] == 5
+        assert manifest["dcrab"]["seed"] == 5 and "master_seed" not in manifest
         assert manifest["dcrab"]["superiterations"] == 2
         # file values still beat the defaults
         assert manifest["dcrab"]["max_evals_per_superiteration"] == 12
@@ -372,18 +371,17 @@ class TestCli:
         assert manifest["runs"] == 1
 
     @pytest.mark.parametrize(
-        "dcrab_seed, master_seed, flag, expected",
-        [(2, None, None, 2), (2, 3, None, 3), (2, 3, 5, 5)],
-        ids=["dcrab-seed", "master-seed-beats-dcrab-seed", "flag-beats-both"],
+        "dcrab_seed, flag, expected",
+        [(2, None, 2), (2, 5, 5), (None, None, 0)],
+        ids=["dcrab-seed", "flag-beats-dcrab-seed", "default-zero"],
     )
-    def test_scan_seed_precedence(self, tmp_path, dcrab_seed, master_seed, flag, expected):
-        def scan(name, dcrab_lines, scan_lines, flags):
+    def test_scan_seed_precedence(self, tmp_path, dcrab_seed, flag, expected):
+        def scan(name, dcrab_lines, flags):
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(
                 "[dcrab]\nsuperiterations = 1\nmax_evals_per_superiteration = 12\nn_t = 200\n"
                 + dcrab_lines
                 + "[scan]\nt_rels = 1.5\ndet_rels = 0.5\nruns = 1\n"
-                + scan_lines
             )
             out = tmp_path / name
             assert main(["scan", "--config", str(cfg), "--out", str(out)] + flags) == 0
@@ -391,14 +389,13 @@ class TestCli:
 
         out = scan(
             "resolved",
-            f"seed = {dcrab_seed}\n",
-            "" if master_seed is None else f"master_seed = {master_seed}\n",
+            "" if dcrab_seed is None else f"seed = {dcrab_seed}\n",
             [] if flag is None else ["--seed", str(flag)],
         )
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["master_seed"] == manifest["dcrab"]["seed"] == expected
+        assert manifest["dcrab"]["seed"] == expected and "master_seed" not in manifest
         # the resolved seed drives the runs: the same scan seeded by the flag alone matches
-        plain = scan("plain", "", "", ["--seed", str(expected)])
+        plain = scan("plain", "", ["--seed", str(expected)])
         assert (out / "scan.csv").read_bytes() == (plain / "scan.csv").read_bytes()
 
     @pytest.mark.parametrize(
@@ -413,10 +410,15 @@ class TestCli:
             ("scan", "master_seed = -1"),
             ("dcrab", "coefficient_scale = 0"),
             ("dcrab", "simplex_tol = nan"),
+            # unknown even with valid values: the scan seed is [dcrab] seed, the simplex settings are constants
+            ("scan", "master_seed = 4"),
+            ("dcrab", "coefficient_scale = 1.0"),
+            ("dcrab", "simplex_tol = 0.01"),
         ],
         ids=[
             "plant-section", "output-section", "unknown-scan-key", "unknown-dcrab-key", "bad-value",
             "negative-seed", "negative-master-seed", "zero-coefficient-scale", "nan-simplex-tol",
+            "removed-master-seed", "removed-coefficient-scale", "removed-simplex-tol",
         ],
     )
     def test_config_file_errors_exit_2(self, tmp_path, section, line):
@@ -774,6 +776,17 @@ def test_cli_surface_matches_readme(verb, capsys):
         if flag in dcrab and verb != "qpt":  # qpt's --seed seeds its plant, not a DCRAB run
             assert (action.dest, action.metavar or action.dest.upper()) == dcrab[flag]
             assert action.default is None or (verb, flag) == ("gate", "--target")
+
+
+def test_dcrab_flags_config_fields_and_file_keys_are_one_set():
+    # every DcrabConfig field is set by one DCRAB flag and one [dcrab] key, and no flag or key sets anything else
+    parser = argparse.ArgumentParser()
+    autocal.cli._add_dcrab_options(parser)
+    dests = [a.dest for a in parser._actions if a.dest != "help"]
+    names = {"seed", "superiterations", "n_components", "max_evals_per_superiteration", "target_fidelity", "n_t"}
+    assert len(dests) == 6 and set(dests) == names
+    assert {f.name for f in fields(DcrabConfig)} == names
+    assert set(autocal.cli._FILE_KEYS["dcrab"]) == names
 
 
 def test_runtime_never_imports_scipy():

@@ -718,7 +718,7 @@ def fit_outcome(fit):
 
 
 class TestLockstepFit:
-    """The batched fit of a gate evaluation against one ``fit_rabi`` per row."""
+    """The batched fit of a gate evaluation against the lockstep reference ``reference_fit_rows``."""
 
     @pytest.mark.parametrize("shots", [None, 100, 1_000, 10_000])
     def test_rows_match_single_fits_bitwise(self, shots):
@@ -740,12 +740,7 @@ class TestLockstepFit:
                 targets[1] = rng.uniform(0.0, 1.0, 2 * TIMES.size)  # diverges
                 targets[-1][rng.integers(2 * TIMES.size)] = np.nan  # bad measurement
             targets = np.array(targets)
-            want = []
-            for target in targets:
-                try:
-                    want.append(fit_rabi(target[:41], target[41:], TIMES, OMEGA))
-                except FitFailure as err:
-                    want.append(err)
+            want = reference_fit_rows(targets, TIMES, OMEGA)
             got = _fit_rows(targets, TIMES, OMEGA)
             assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
             if rows >= 4:
@@ -1111,6 +1106,18 @@ class TestKnownFrequencyFit:
         assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), GATE_G, omega=OMEGA).value == pytest.approx(
             1.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["state-transfer", "gate"])
+    def test_bad_omega_rejected_before_any_scan(self, kind, omega):
+        # fitted at such an omega, every curve would score a wrong F or fail inside numpy
+        plant = CountingPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False, seed=1))
+        with pytest.raises(ContractError, match="^omega must be positive and finite$"):
+            if kind == "gate":
+                gate_fom(plant, exact_g_pulse(), GATE_G, omega=omega)
+            else:
+                state_transfer_fom(plant, exact_g_pulse(), omega=omega)
+        assert plant.prepares == plant.scans == 0
 
 
 class TestCalibrateScan:
