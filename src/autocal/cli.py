@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ContractError, FileNotFoundError, IsADirectoryError, configparser.Error) as err:
+    except (ContractError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, configparser.Error) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as err:  # noqa: BLE001 - CLI boundary

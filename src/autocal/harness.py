@@ -206,6 +206,7 @@ def _run_demo(
 def run_state_transfer_demo(
     config: DcrabConfig,
     det_rel: float,
+    *,
     t_rel: float,
     noisy: bool = False,
     shots: int = 10_000,
@@ -217,9 +218,10 @@ def run_state_transfer_demo(
 def run_gate_demo(
     config: DcrabConfig,
     det_rel: float,
+    *,
+    t_rel: float = 1.5,
     noisy: bool = False,
     shots: int = 10_000,
-    t_rel: float = 1.5,
     out_dir: Path | str | None = None,
 ) -> tuple[OptimizationResult, ChiMatrix]:
     return _run_demo("gate", config, det_rel, t_rel, noisy, shots, out_dir)

@@ -197,15 +197,10 @@ def _eigen_radius(m00: complex, m01: complex, m10: complex, m11: complex) -> flo
 
 
 def clip_amplitudes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale both channels at samples violating |X + Y| <= 1."""
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    s = np.abs(x + y)
-    mask = s > 1.0
-    if np.any(mask):
-        x[mask] /= s[mask]
-        y[mask] /= s[mask]
-    return x, y
+    """Both channels divided by max(1, |X + Y|), sample by sample: only samples violating |X + Y| <= 1 change."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    scale = np.fmax(np.abs(x + y), 1.0)  # fmax: a NaN sum leaves the sample as it is
+    return x / scale, y / scale
 
 
 @dataclass(frozen=True)

@@ -395,19 +395,10 @@ def gate_fom(
 # ---------------------------------------------------------------------------
 # Process tomography
 
-# Maps the stacked "operator basis" finals E(|j><k|) to the four measured
-# preparation finals; rows follow PreparationIndex, columns the order
-# E(|0><0|), E(|0><-1|), E(|-1><0|), E(|-1><-1|).
-_PREP_MIX = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.5, 0.5j, -0.5j, 0.5],
-        [0.5, 0.5, 0.5, 0.5],
-    ],
-    dtype=complex,
-)
-_PREP_MIX_INV = np.linalg.inv(_PREP_MIX)
+# Maps the four measured preparation finals back to the "operator basis" finals
+# E(|0><0|), E(|0><-1|), E(|-1><0|), E(|-1><-1|): row i of the inverted matrix is
+# the i-th prepared state (PreparationIndex order), flattened in that order.
+_PREP_MIX_INV = np.linalg.inv([idx.density_matrix().matrix.ravel() for idx in PreparationIndex])
 _LAMBDA = 0.5 * np.block([[IDENTITY, SIGMA_X], [SIGMA_X, -IDENTITY]])
 
 
@@ -468,10 +459,8 @@ def chi_construction_discrepancy() -> float:
     patched.
     """
     finals = [idx.density_matrix() for idx in PreparationIndex]
-    reference = np.zeros((4, 4), dtype=complex)
-    reference[0, 0] = 1.0
     published = chi_matrix_as_published(finals).matrix
-    return float(np.max(np.abs(published - reference)))
+    return float(np.max(np.abs(published - analytic_chi_of_unitary(IDENTITY).matrix)))
 
 
 def analytic_chi_of_unitary(u: np.ndarray) -> ChiMatrix:

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -647,6 +648,29 @@ class TestCli:
         assert "configuration error:" in err and str(path) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "verb, below",
+        [("invert", False), ("invert", True), ("scan", False), ("scan", True), ("qpt", True)],
+        ids=["invert-existing-file", "invert-below-a-file", "scan-existing-file", "scan-below-a-file", "qpt-below-a-file"],
+    )
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, verb, below):
+        # mkdir or open() refuses the path with FileExistsError or NotADirectoryError once the run
+        # has ended; qpt's --out is a file, which it overwrites, so only a path below a file is unusable
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        pulse = tmp_path / "pulse.csv"
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\n")
+        extra = {
+            "scan": ["--config", str(cfg)] + self.FAST_ARGS,
+            "qpt": ["--pulse", str(pulse)],
+        }.get(verb, self.FAST_ARGS)
+        code = main([verb, "--out", str(blocker / "out" if below else blocker)] + extra)
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
     def test_runtime_failure_exit_code(self, monkeypatch):
         import autocal.cli as cli
 
@@ -655,6 +679,16 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_state_transfer_demo", boom)
         assert main(["invert"]) == 3
+
+
+def test_demo_options_after_det_rel_are_keyword_only():
+    # the two orders differed, so a positional third argument set t_rel in one and noisy in the other
+    config = DcrabConfig(seed=0, **FAST)
+    for demo in (autocal.harness.run_state_transfer_demo, autocal.harness.run_gate_demo):
+        with pytest.raises(TypeError):
+            demo(config, 0.7, 1.5)
+        names = list(inspect.signature(demo).parameters)
+        assert names == ["config", "det_rel", "t_rel", "noisy", "shots", "out_dir"]
 
 
 class TestSummaryFields:

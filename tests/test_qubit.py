@@ -194,6 +194,18 @@ class TestDensityMatrixValidator:
             assert s1.trace_distance(s2) == reference
 
 
+def reference_clip_amplitudes(x, y):
+    """The masked form of the clip: divide in place only the samples with |X + Y| > 1."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    s = np.abs(x + y)
+    mask = s > 1.0
+    if np.any(mask):
+        x[mask] /= s[mask]
+        y[mask] /= s[mask]
+    return x, y
+
+
 class TestPulseWaveform:
     def test_amplitude_constraint_enforced(self):
         with pytest.raises(ContractError):
@@ -206,6 +218,18 @@ class TestPulseWaveform:
         assert np.max(np.abs(pulse.x + pulse.y)) <= 1.0 + 1e-12
         assert pulse.x[0] == pytest.approx(0.3)  # untouched sample
         assert pulse.x[1] / pulse.y[1] == pytest.approx(2.0)  # ratio preserved
+        # bit for bit the masked form: |X + Y| exactly 1, one ulp above 1, -0.0, then random arrays
+        above = np.nextafter(1.0, 2.0)
+        cases = [
+            (np.array([0.5, -0.25, 1.0, -1.0]), np.array([0.5, -0.75, 0.0, -0.0])),
+            (np.array([above, -above, 0.5]), np.array([0.0, -0.0, above - 0.5])),
+            (np.array([-0.0, -0.0, 0.0, 3.0]), np.array([-0.0, 0.0, -0.0, -0.0])),
+        ]
+        rng = np.random.default_rng(7)
+        cases += [(rng.normal(0.0, 0.7, n), rng.normal(0.0, 0.7, n)) for n in rng.integers(1, 300, 200)]
+        for x, y in cases:
+            got, want = clip_amplitudes(x, y), reference_clip_amplitudes(x, y)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
     def test_requires_two_samples(self):
         with pytest.raises(ContractError):
