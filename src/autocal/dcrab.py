@@ -159,6 +159,8 @@ def assemble_pulse(
     """
     if ledger.active is None:
         raise ContractError("ledger has no active term")
+    if ledger.duration != params.duration:  # else the window does not vanish at the pulse's end
+        raise ContractError(f"ledger duration {ledger.duration!r} is not params.duration {params.duration!r}")
     times = np.arange(n_t) * (params.duration / n_t)
     gx, gy = ledger.update_profiles(times, np.asarray(active_coeffs, dtype=float))
     # guess envelope is identically 1, so the channels are the windowed sums

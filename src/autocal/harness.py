@@ -92,6 +92,15 @@ def load_pulse_csv(path: Path | str) -> PulseWaveform:
 # Optimization-result outputs
 
 
+def _output_dir(out_dir: Path | str) -> Path:
+    """``out_dir`` with ``..`` resolved; it, or else its nearest existing ancestor, must be a directory."""
+    out = Path(out_dir).resolve()
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {out_dir}: {existing} is not a directory")
+    return out
+
+
 def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
     with open(path, "w") as fh:
         for index, rec in enumerate(result.records):
@@ -170,6 +179,7 @@ def _run_demo(
 ) -> tuple[OptimizationResult, ChiMatrix | None]:
     """One closed-loop run on a fresh plant; a gate run adds process tomography."""
     fom, seed_key = _DEMOS[command]
+    out = None if out_dir is None else _output_dir(out_dir)
     params = params_from_relative(t_rel, det_rel)
     plant = SimPlant(
         params,
@@ -181,8 +191,7 @@ def _run_demo(
     )
     result = run_dcrab(plant, fom, config)
     chi = process_tomography(plant, result.best_pulse) if command == "gate" else None
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_trace_jsonl(result, out / "trace.jsonl")
         write_summary_json(result, out / "summary.json", params.rabi_frequency)
@@ -291,6 +300,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
     """
     if workers < 1:
         raise ContractError("workers must be >= 1")
+    out = None if out_dir is None else _output_dir(out_dir)
     shape = (len(spec.t_rels), len(spec.det_rels))
     keys = list(np.ndindex(shape + (spec.runs,)))
     jobs = [
@@ -329,8 +339,7 @@ def run_scan(spec: ScanSpec, workers: int = 1, out_dir: Path | str | None = None
         failed=failed,
         best_pulses=best_pulses,
     )
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         result.to_csv(out / "scan.csv")
         for (i, j), pulse in best_pulses.items():

@@ -476,8 +476,7 @@ def process_tomography(
     plant: PlantInterface,
     pulse: PulseWaveform,
 ) -> ChiMatrix:
-    """Full process tomography of ``pulse``: tomograph all four preparations."""
-    return chi_from_final_states(
-        [est.rho for est in _tomograph_preparations(plant, pulse, tuple(PreparationIndex))]
-    )
+    """Full process tomography of ``pulse``: calibrate the plant's scan drive, then fit all four preparations at it."""
+    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), omega=calibrate_scan(plant).omega)
+    return chi_from_final_states([est.rho for est in estimates])
 

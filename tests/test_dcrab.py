@@ -165,6 +165,12 @@ class TestAssemblePulse:
         with pytest.raises(ContractError, match="no active term"):
             assemble_pulse(DcrabLedger(duration=1.0), np.zeros(4), self.PARAMS, 100)
 
+    def test_ledger_of_another_duration_rejected(self):
+        # windowed over 1.0 but sampled over 0.5, the last sample would read X = 0.99997, not ~0 at t = T
+        ledger = self.ledger_with_zero_freq_term()
+        with pytest.raises(ContractError, match=r"^ledger duration 1.0 is not params.duration 0.5$"):
+            assemble_pulse(ledger, np.array([0.0, 1.0, 0.0, 0.0]), PlantParams(1.0, 0.0, 0.5), 200)
+
     @staticmethod
     def uncached_pulse(ledger, coeffs, params, n_t):
         """Every term's profile summed afresh, in ledger order, then windowed and clipped."""
@@ -195,7 +201,9 @@ class TestAssemblePulse:
             for n_t in (1000, 5000, 1000, 200):
                 for _ in range(3):
                     check(params, n_t)
+            ledger.duration = stretched.duration  # a ledger windows only pulses of its own duration
             check(stretched, 200)
+            ledger.duration = params.duration
             check(params, 200)
             ledger.frozen.append(ledger.active.with_coeffs(rng.normal(scale=0.5, size=8)))
         # a replaced set of frozen terms of the same length is summed afresh
@@ -765,6 +773,13 @@ class TestOpenLoopEvaluation:
         pulse = PulseWaveform.constant(1.0, 0.0, 0.25)
         fom = evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 0.25), fom="gate")
         assert fom.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fom, duration", [("state-transfer", 0.5), ("gate", 0.25)])
+    def test_exact_pulse_scores_at_most_one(self, fom, duration):
+        # at many n_t, rounding in the propagator puts the unclamped overlap a few ulps above 1
+        for n_t in range(2, 300):
+            pulse = PulseWaveform.constant(1.0, 0.0, duration, n_t)
+            assert 0.999 < evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, duration), fom=fom).value <= 1.0
 
     @pytest.mark.parametrize("fom", ["state-transfer", "gate"])
     def test_duration_mismatch_rejected(self, fom):

@@ -654,8 +654,8 @@ class TestCli:
         ids=["invert-existing-file", "invert-below-a-file", "scan-existing-file", "scan-below-a-file", "qpt-below-a-file"],
     )
     def test_unusable_out_is_config_error(self, tmp_path, capsys, verb, below):
-        # mkdir or open() refuses the path with FileExistsError or NotADirectoryError once the run
-        # has ended; qpt's --out is a file, which it overwrites, so only a path below a file is unusable
+        # invert and scan refuse the path before the run, qpt's open() after it; qpt's --out is a
+        # file, which it overwrites, so only a path below a file is unusable
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
         pulse = tmp_path / "pulse.csv"
@@ -670,6 +670,28 @@ class TestCli:
         assert code == 2
         assert "configuration error:" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "verb, out",
+        [
+            ("invert", "blocker"),
+            ("gate", "blocker/x"),
+            ("scan", "blocker/x"),
+            ("scan", "nope/../blocker/x"),
+        ],
+    )
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, verb, out):
+        # the path with ".." resolved, or its nearest existing ancestor, is a file, so no run starts
+        monkeypatch.setattr(autocal.harness, "run_dcrab", lambda *a: pytest.fail("a run started"))
+        (tmp_path / "blocker").write_text("kept")
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\n")
+        extra = ["--config", str(cfg)] if verb == "scan" else []
+        assert main([verb, "--out", str(tmp_path / out)] + extra + self.FAST_ARGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output directory ") and "is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scan.cfg"]
+        assert (tmp_path / "blocker").read_text() == "kept"
 
     def test_runtime_failure_exit_code(self, monkeypatch):
         import autocal.cli as cli
@@ -698,6 +720,14 @@ class TestSummaryFields:
         assert summary["scan_omega_rel"] == result.calibration.omega == 1.0  # the nominal Rabi frequency is 1 MHz
         assert summary["scan_calibration_rms"] == result.calibration.residual < 1e-13
         assert summary["n_failed_evaluations"] == 0
+
+    def test_noisy_run_records_its_best_sigma(self, tmp_path):
+        # shot noise leaves the fitted state off purity, so sigma is not 0
+        result = run_state_transfer_demo(
+            DcrabConfig(seed=3, **FAST), det_rel=0.5, t_rel=1.5, noisy=True, shots=1000, out_dir=tmp_path
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["best_sigma"] == result.best_fidelity.sigma > 0.0
 
     def test_mostly_failed_run_counts_its_failures(self, tmp_path):
         # at 5 shots per scan point shot noise fails many evaluations' fits; each scores 0

@@ -211,6 +211,12 @@ class TestPulseWaveform:
         with pytest.raises(ContractError):
             PulseWaveform(1.0, np.full(10, 0.8), np.full(10, 0.8))
 
+    def test_amplitude_tolerance_is_1e_12(self):
+        # a sample 1e-9 over the bound is a violation; rounding error of 1e-13 is not
+        with pytest.raises(ContractError, match=r"\|X \+ Y\| <= 1 violated"):
+            PulseWaveform(1.0, np.array([0.0, 0.5]), np.array([0.0, 0.5 + 1e-9]))
+        assert PulseWaveform(1.0, np.array([0.0, 0.5]), np.array([0.0, 0.5 + 1e-13])).y[1] == 0.5 + 1e-13
+
     def test_clip_amplitudes_rescales_only_violating_samples(self):
         x = np.array([0.3, 2.0, 0.5, -1.5])
         y = np.array([0.2, 1.0, 0.4, -1.5])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import autocal.qubit
 import autocal.tomography
-from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
+from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig, default_rabi_times, run_rabi_scan
 from autocal.qubit import (
     ContractError,
     DensityMatrix,
@@ -554,6 +554,12 @@ class TestGateFom:
         with pytest.raises(ContractError):
             gate_fom(plant, exact_g_pulse(), np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    def test_unitarity_tolerance_is_1e_9(self):
+        # U^+ U is 2e-6 off the identity for a gate scaled by 1 + 1e-6, and 2e-12 off for 1 + 1e-12
+        with pytest.raises(ContractError, match="^ideal gate must be a 2x2 unitary$"):
+            gate_fom(make_plant(duration=0.25), exact_g_pulse(), (1.0 + 1e-6) * GATE_G)
+        assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), (1.0 + 1e-12) * GATE_G).value > 0.99
+
 
 def test_fidelity_estimate_rejects_negative_sigma():
     with pytest.raises(ContractError, match="sigma must be non-negative"):
@@ -873,15 +879,21 @@ class TestLoopMatchesCoroutine:
         assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
 
 
-def per_preparation_estimates(plant, pulse, inverse=None):
-    """The per-preparation path: prepare, apply, scan and fit one input at a time."""
+def per_preparation_estimates(plant, pulse, inverse=None, omega=None):
+    """The per-preparation path: prepare, apply, scan and fit one input at a time, at ``omega`` if given."""
     estimates = []
     for idx in PreparationIndex:
         plant.prepare(idx)
         plant.apply(pulse)
         if inverse is not None:
             plant.apply_ideal_unitary(inverse)
-        estimates.append(state_tomography(plant))
+        if omega is None:
+            estimates.append(state_tomography(plant))
+        else:
+            times = default_rabi_times(OMEGA)
+            target = np.concatenate([run_rabi_scan(plant, "x", times), run_rabi_scan(plant, "y", times)])
+            (fit,) = _fit_rows(target[None], times, OMEGA, omega=omega)
+            estimates.append(mle_project(fit))
     return estimates
 
 
@@ -911,8 +923,9 @@ class TestBatchedPreparations:
             want = per_preparation_gate_fom(reference, pulse, GATE_G)
             assert (repr(got.value), repr(got.sigma)) == (repr(want.value), repr(want.sigma))
             chi = process_tomography(batched, pulse)
+            omega = calibrate_scan(reference).omega  # process tomography fits at the drive it measures first
             chi_ref = chi_from_final_states(
-                [est.rho for est in per_preparation_estimates(reference, pulse)]
+                [est.rho for est in per_preparation_estimates(reference, pulse, omega=omega)]
             )
             assert chi.matrix.tobytes() == chi_ref.matrix.tobytes()
             assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
@@ -1190,3 +1203,30 @@ class TestCalibratedShotNoise:
             fixed.append(state_transfer_fom(plant, pulse, omega=OMEGA).value - exact)  # the fast plant
         assert rms(fast) <= 3.0 * rms(nominal)
         assert rms(fixed) > 3.0 * rms(nominal)  # omega fixed at nominal fails the same bound
+
+
+class TestCalibratedProcessTomography:
+    def test_costs_the_calibration_and_four_preparations(self):
+        # the calibration's one preparation and 20 scans, then two scans of each of the four inputs
+        plant = CountingPlant(PlantParams(OMEGA, 0.7, 0.75), SimPlantConfig(noiseless=False, seed=4))
+        process_tomography(plant, PulseWaveform.constant(0.5, 0.0, 0.75, 50))
+        assert (plant.prepares, plant.scans, plant.points) == (5, 28, 28 * 41)
+
+    @pytest.mark.parametrize("shots", [10_000, 1_000])
+    def test_chi_error_beats_free_search(self, shots):
+        # 4 pulses x 150 plant seeds at Delta/Omega = 0.7 and T = 1.5 T_pi; the free search is the
+        # per-preparation composition through state_tomography on the same plant's next scans
+        params = PlantParams(OMEGA, 0.7, 0.75)
+        rng = np.random.default_rng(shots)
+        pulses = [PulseWaveform.constant(0.5, 0.0, params.duration, 50)] + [
+            PulseWaveform(params.duration, rng.uniform(-0.5, 0.5, 50), rng.uniform(-0.5, 0.5, 50)) for _ in range(3)
+        ]
+        calibrated, free = [], []
+        for pulse in pulses:
+            exact = analytic_chi_of_unitary(total_propagator(pulse, params)).matrix
+            for seed in range(150):
+                plant = SimPlant(params, SimPlantConfig(noiseless=False, repetitions=shots, seed=seed))
+                calibrated.append(np.linalg.norm(process_tomography(plant, pulse).matrix - exact))
+                chi_free = chi_from_final_states([est.rho for est in per_preparation_estimates(plant, pulse)])
+                free.append(np.linalg.norm(chi_free.matrix - exact))
+        assert rms(calibrated) <= 0.9 * rms(free)
