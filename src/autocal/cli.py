@@ -18,6 +18,7 @@ from .harness import (
     DEFAULT_RABI_FREQUENCY,
     ScanSpec,
     load_pulse_csv,
+    output_file,
     run_gate_demo,
     run_openloop_comparison,
     run_scan,
@@ -190,15 +191,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_qpt(args) -> int:
+    out = output_file(args.out)
     pulse = load_pulse_csv(args.pulse)
     rabi = DEFAULT_RABI_FREQUENCY
     plant = SimPlant(
         PlantParams(rabi, args.detuning_rel * rabi, pulse.duration),
         SimPlantConfig(noiseless=not args.noise, repetitions=args.shots, seed=args.seed),
     )
-    write_chi_json(process_tomography(plant, pulse), args.out)
+    write_chi_json(process_tomography(plant, pulse), out)
     write_manifest(
-        Path(str(args.out) + ".manifest.json"),
+        Path(str(out) + ".manifest.json"),
         command="qpt",
         pulse=str(args.pulse),
         detuning_rel=args.detuning_rel,

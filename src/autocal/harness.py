@@ -101,6 +101,14 @@ def _output_dir(out_dir: Path | str) -> Path:
     return out
 
 
+def output_file(path: Path | str) -> Path:
+    """``path`` with ``..`` resolved, checked before the work that fills it: in a directory, and not one."""
+    out = Path(path).resolve()
+    if out.is_dir() or not out.parent.is_dir():
+        raise NotADirectoryError(f"output file {path}: must name a file in an existing directory")
+    return out
+
+
 def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
     with open(path, "w") as fh:
         for index, rec in enumerate(result.records):
@@ -379,6 +387,7 @@ def run_openloop_comparison(
     """
     if runs < 1:
         raise ContractError("runs must be >= 1")
+    out_path = None if out_path is None else output_file(out_path)
     scan_dir = Path(scan_dir)
     manifest_path = scan_dir / "manifest.json"
     if not manifest_path.exists():

@@ -3,7 +3,7 @@
 ``PlantInterface`` is the seam a real device plugs into: ``nominal``, ``prepare``,
 ``apply``, ``apply_ideal_unitary`` and ``rabi_scan``.  Every point of a scan replays
 the recorded prepare / apply / unitary sequence, then rotates and reads out, so a scan
-leaves the state as it was.  ``SimPlant``, the only shipped plant, scans in one pass.
+leaves the state as it was.  ``SimPlant``, the only shipped plant, scans in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .qubit import (
     DensityMatrix,
     PlantParams,
     PulseWaveform,
-    _propagator_stack,
     apply_unitary,
     pauli_rotation_propagator,
     population,
@@ -152,10 +151,14 @@ class SimPlant(PlantInterface):
         self._state = apply_unitary(rho, self._last_unitary)
 
     def apply_ideal_rotation(self, axis: str, duration: float) -> None:
-        """Simulation only: one scan point's rotation, kept for tests and per-call tracing."""
-        rho = self.current_state()
+        """Simulation only: one scan point's rotation, P(|0>) in ``rabi_scan``'s closed form; for tests and tracing."""
+        rho = self.current_state().matrix
         hx, hy = self._rotation_rates(axis)
-        self._state = apply_unitary(rho, pauli_rotation_propagator(hx, hy, 0.0, duration))
+        u = pauli_rotation_propagator(hx, hy, 0.0, duration)
+        rotated = u @ rho @ u.conj().T
+        weights = _scan_weights.__wrapped__(hx, hy, np.array([duration]).tobytes())
+        rotated[0, 0] = _rotated_population(rho, hx, hy, *weights)[0]
+        self._state = DensityMatrix(rotated)
 
     def apply_ideal_unitary(self, u: np.ndarray) -> None:
         self._state = apply_unitary(self.current_state(), u)
@@ -165,10 +168,10 @@ class SimPlant(PlantInterface):
         return self._sample(population(self.current_state(), which))
 
     def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
-        """The scan in one pass: the state is known, so no point needs a replay."""
+        """The scan in closed form: the state is known, so no point needs a replay."""
         rho = self.current_state().matrix
-        u, u_adjoint = _scan_rotations(*self._rotation_rates(axis), times.tobytes())
-        p = (u @ rho @ u_adjoint)[:, 0, 0].real
+        hx, hy = self._rotation_rates(axis)
+        p = _rotated_population(rho, hx, hy, *_scan_weights(hx, hy, times.tobytes()))
         return self._sample(np.clip(p, 0.0, 1.0))
 
     def _rotation_rates(self, axis: str) -> tuple[float, float]:
@@ -198,14 +201,21 @@ class SimPlant(PlantInterface):
 
 
 @functools.lru_cache(maxsize=4)
-def _scan_rotations(hx: float, hy: float, times_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rotation stack (n, 2, 2) of a scan and its adjoint, built once per drive and grid."""
-    times = np.frombuffer(times_bytes)
-    n = times.size
-    u = _propagator_stack(np.full(n, hx), np.full(n, hy), np.zeros(n), times)
-    u_adjoint = u.conj().transpose(0, 2, 1)
-    u.flags.writeable = u_adjoint.flags.writeable = False
-    return u, u_adjoint
+def _scan_weights(hx: float, hy: float, times_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin^2(theta / 2) and sin(theta) at theta = |h| t, built once per drive (hx, hy) and time grid."""
+    theta = math.hypot(hx, hy) * np.frombuffer(times_bytes)
+    sin2_half, sin_theta = np.sin(0.5 * theta) ** 2, np.sin(theta)
+    sin2_half.flags.writeable = sin_theta.flags.writeable = False
+    return sin2_half, sin_theta
+
+
+def _rotated_population(rho: np.ndarray, hx: float, hy: float, sin2_half, sin_theta) -> np.ndarray:
+    """P(|0>) = d + (a - d) sin^2(theta / 2) - Im(rho_01 (nx + i ny)) sin(theta) of U rho U^dagger, U the rotation
+    by ``_scan_weights``' theta about n = (hx, hy, 0) / |h|: exactly d at theta = 0, and ``fit_rabi``'s model at the
+    nominal drive, whose last term is -c sin(theta) on x and +b sin(theta) on y."""
+    rate, d, rho01 = math.hypot(hx, hy), rho[0, 0].real, rho[0, 1]
+    k = -(rho01.imag * (hx / rate) + rho01.real * (hy / rate))
+    return d + (rho[1, 1].real - d) * sin2_half + k * sin_theta
 
 
 def default_rabi_times(rabi_frequency: float) -> np.ndarray:
@@ -224,13 +234,20 @@ def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.nda
     if axis not in ("x", "y"):
         raise ContractError(f"unknown rotation axis {axis!r}")
     times = np.asarray(times, dtype=float)
+    _check_times(times.tobytes())
+    scan = plant.rabi_scan(axis, times)
+    if not isinstance(scan, np.ndarray) or scan.dtype.kind != "f" or scan.shape != (times.size,):
+        raise ContractError(f"rabi_scan must return a 1-d float array of {times.size} values")
+    return scan
+
+
+@functools.lru_cache(maxsize=8)
+def _check_times(times_bytes: bytes) -> None:
+    """``run_rabi_scan``'s grid checks, run once per valid grid; a raise is not cached, so a bad grid always raises."""
+    times = np.frombuffer(times_bytes)
     if times.size == 0:
         raise ContractError("times must be non-empty")
     if not np.isfinite(times).all() or (times < 0.0).any():
         raise ContractError("times must be finite and non-negative")
     if times.size > 1 and not (np.diff(times) > 0.0).all():
         raise ContractError("times must be strictly increasing")
-    scan = plant.rabi_scan(axis, times)
-    if not isinstance(scan, np.ndarray) or scan.dtype.kind != "f" or scan.shape != (times.size,):
-        raise ContractError(f"rabi_scan must return a 1-d float array of {times.size} values")
-    return scan

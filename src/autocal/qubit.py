@@ -59,7 +59,7 @@ def pauli_rotation_propagator(hx: float, hy: float, hz: float, dt: float) -> np.
     _require_finite(hx, hy, hz, dt)
     if dt <= 0.0:
         raise ContractError("dt must be positive")
-    return _propagator_stack(np.array([hx]), np.array([hy]), np.array([hz]), dt)[0]
+    return _su2(*_cayley_klein(np.array([hx]), np.array([hy]), np.array([hz]), dt))[0]
 
 
 def _cayley_klein(
@@ -88,11 +88,6 @@ def _su2(alpha, beta) -> np.ndarray:
     u[..., 1, 0] = -np.conj(beta)
     u[..., 1, 1] = np.conj(alpha)
     return u
-
-
-def _propagator_stack(hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
-    """``pauli_rotation_propagator`` over sample arrays, unchecked; shape (n, 2, 2)."""
-    return _su2(*_cayley_klein(hx, hy, hz, dt))
 
 
 def _ck_product(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:

@@ -213,25 +213,31 @@ def fit_rabi(
 def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float, omega: float | None = None) -> list:
     """``fit_rabi`` of each row (x curve, then y curve) of ``targets`` (k, 2n), unchecked.
 
-    At a known ``omega`` the grid is that one frequency, with no refine.  A failed row gives its ``FitFailure``.
+    At a known ``omega`` the fit is linear and has no search.  A failed row gives its ``FitFailure``.
     """
     omegas, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency), omega)
+    finite = np.isfinite(targets).all(axis=1)
+    if omega is not None:  # a mat-vec per row, not one product of all rows, so no fit depends on the others
+        params = pinv[0] @ targets[finite][..., None]
+        sses = (((design[0] @ params)[..., 0] - targets[finite]) ** 2).sum(axis=1)
+        fitted = zip(sses, params[..., 0])
+        return [_rabi_fit(*next(fitted), omega, times.size) if ok else FitFailure(math.nan) for ok in finite]
     xtol = _REFINE_TOL * rabi_frequency
     fits: list[RabiFit | FitFailure] = []
-    for target in targets:
-        if not np.isfinite(target).all():
+    for target, ok in zip(targets, finite):
+        if not ok:
             fits.append(FitFailure(math.nan))
             continue
         params = (pinv.reshape(-1, target.size) @ target).reshape(-1, 4)  # one product for all omegas
         sses = (((design @ params[..., None])[..., 0] - target) ** 2).sum(axis=1)
         k = int(np.argmin(sses))
-        best = (sses[k], omegas[k], params[k])  # the lowest-SSE (sse, omega, params) visited
+        best = (sses[k], params[k], omegas[k])  # the lowest-SSE (sse, params, omega) visited
         w0, g0, w1 = math.nan, math.nan, float(omegas[k])
-        for round_ in range(_REFINE_STEPS + 1 if omega is None else 0):
+        for round_ in range(_REFINE_STEPS + 1):
             params, sses, grads = _varpro(np.array([w1]), times, target[None])
             g1 = float(grads[0])
             if sses[0] < best[0]:
-                best = (sses[0], w1, params[0])
+                best = (sses[0], params[0], w1)
             if round_ == 0:
                 step = -math.copysign(omegas[1] - omegas[0], g1)
             elif abs(w1 - w0) <= xtol or g1 == g0:
@@ -239,13 +245,17 @@ def _fit_rows(targets: np.ndarray, times: np.ndarray, rabi_frequency: float, ome
             else:
                 step = -g1 * (w1 - w0) / (g1 - g0)
             w0, g0, w1 = w1, g1, min(max(w1 + step, omegas[0]), omegas[-1])
-        sse, w, (s, q, c, b) = best
-        rms = math.sqrt(sse / (2 * times.size))
-        at_edge = omega is None and bool(min(w - omegas[0], omegas[-1] - w) <= xtol)
-        fits.append(FitFailure(rms) if rms > _RESIDUAL_THRESHOLD else RabiFit(
-            float(s - q), float(b), float(c), float(s + q), float(w), rms, at_edge
-        ))
+        at_edge = bool(min(best[2] - omegas[0], omegas[-1] - best[2]) <= xtol)
+        fits.append(_rabi_fit(*best, times.size, at_edge))
     return fits
+
+
+def _rabi_fit(sse: float, params: np.ndarray, omega: float, n: int, at_edge: bool = False) -> RabiFit | FitFailure:
+    """The fit of (s, q, c, b) at ``omega`` to two n-point curves, or its ``FitFailure`` above the rms threshold."""
+    (s, q, c, b), rms = params, math.sqrt(sse / (2 * n))
+    return FitFailure(rms) if rms > _RESIDUAL_THRESHOLD else RabiFit(
+        float(s - q), float(b), float(c), float(s + q), float(omega), rms, at_edge
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -654,8 +654,8 @@ class TestCli:
         ids=["invert-existing-file", "invert-below-a-file", "scan-existing-file", "scan-below-a-file", "qpt-below-a-file"],
     )
     def test_unusable_out_is_config_error(self, tmp_path, capsys, verb, below):
-        # invert and scan refuse the path before the run, qpt's open() after it; qpt's --out is a
-        # file, which it overwrites, so only a path below a file is unusable
+        # each verb refuses the path before its run or tomography; qpt's --out is a file, which it
+        # overwrites, so only a path below a file is unusable
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
         pulse = tmp_path / "pulse.csv"
@@ -691,6 +691,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: output directory ") and "is not a directory" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scan.cfg"]
+        assert (tmp_path / "blocker").read_text() == "kept"
+
+    @pytest.mark.parametrize("verb", ["compare-openloop", "qpt"])
+    @pytest.mark.parametrize(
+        "out",
+        ["blocker/x", "nope/x", "nope/../blocker/x", "."],
+        ids=["below-a-file", "no-directory", "dotdot", "a-directory"],
+    )
+    def test_unusable_out_file_fails_before_the_work(self, tmp_path, capsys, monkeypatch, verb, out):
+        # the file must lie in an existing directory and not be one; no run or tomography starts, nothing is written
+        monkeypatch.setattr(autocal.harness, "run_dcrab", lambda *a: pytest.fail("a run started"))
+        monkeypatch.setattr(autocal.cli, "process_tomography", lambda *a: pytest.fail("a tomography started"))
+        (tmp_path / "blocker").write_text("kept")
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
+        pulse = scan / "pulse_t1.5_d0.csv"
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        before = sorted(tmp_path.rglob("*"))
+        extra = {
+            "compare-openloop": ["--scan", str(scan), "--runs", "1"] + self.FAST_ARGS,
+            "qpt": ["--pulse", str(pulse)],
+        }[verb]
+        assert main([verb, "--out", str(tmp_path / out)] + extra) == 2
+        assert capsys.readouterr().err.startswith("configuration error: output file ")
+        assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "blocker").read_text() == "kept"
 
     def test_runtime_failure_exit_code(self, monkeypatch):

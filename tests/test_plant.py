@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import autocal.plant
 from autocal.plant import (
     PlantInterface,
     PreparationIndex,
@@ -12,7 +13,7 @@ from autocal.plant import (
     default_rabi_times,
     run_rabi_scan,
 )
-from autocal.qubit import ContractError, PlantParams, PulseWaveform
+from autocal.qubit import ContractError, DensityMatrix, PlantParams, PulseWaveform, pauli_rotation_propagator
 from autocal.tomography import state_transfer_fom
 
 
@@ -411,6 +412,99 @@ class TestRabiScanSeam:
         plant = make_plant(noiseless=False, seed=3)
         state_transfer_fom(plant, PulseWaveform.constant(1.0, 0.0, 0.75, 100))
         assert calls == {"apply_ideal_rotation": 0, "measure_population": 0}
+
+
+class ScaledDrivePlant(SimPlant):
+    """A plant whose tomography drive runs at ``rate`` times the nominal Rabi frequency."""
+
+    def __init__(self, nominal, rate):
+        super().__init__(nominal, SimPlantConfig())
+        self.rate = rate
+
+    def _rotation_rates(self, axis):
+        hx, hy = super()._rotation_rates(axis)
+        return self.rate * hx, self.rate * hy
+
+
+@st.composite
+def scan_states(draw):
+    """A valid state: one of the four preparations, or a random pure or mixed Bloch vector."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(list(PreparationIndex))).density_matrix()
+    polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    radius = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    rx, ry = radius * math.sin(polar) * math.cos(azimuth), radius * math.sin(polar) * math.sin(azimuth)
+    rz = radius * math.cos(polar)
+    return DensityMatrix.from_entries((1.0 - rz) / 2, rx / 2, -ry / 2, (1.0 + rz) / 2)
+
+
+class TestClosedFormScan:
+    """The closed-form scan against the rotated state built from ``pauli_rotation_propagator``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=scan_states(),
+        axis=st.sampled_from(["x", "y"]),
+        rabi_frequency=st.floats(0.2, 3.0),
+        rate=st.floats(0.95, 1.05),
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 60),
+    )
+    def test_matches_the_rotated_state(self, rho, axis, rabi_frequency, rate, seed, n_points):
+        # the propagator's own rounding reaches 1.3e-15 at theta = 4.2 pi (against 40-digit arithmetic,
+        # where the closed form stays within 5.1e-16), so the two may differ by more than 1e-15 there
+        plant = ScaledDrivePlant(PlantParams(rabi_frequency, 0.0, 1.0), rate)
+        plant.set_state(rho)
+        times = np.unique(np.append(0.0, np.random.default_rng(seed).uniform(0.0, 2.0 / rabi_frequency, n_points)))
+        scan = run_rabi_scan(plant, axis, times)
+        assert scan[0] == rho.d  # t = 0 rotates nothing, exactly
+        hx, hy = plant._rotation_rates(axis)
+        for t, p in zip(times[1:], scan[1:]):
+            u = pauli_rotation_propagator(hx, hy, 0.0, float(t))
+            assert abs(p - (u @ rho.matrix @ u.conj().T)[0, 0].real) <= 2e-15
+
+    def test_nominal_drive_is_the_fit_model(self):
+        # d + (a - d) sin^2(theta / 2) - c sin(theta) on x, + b sin(theta) on y, at theta = 2 pi Omega t
+        plant = make_plant()
+        plant.set_state(DensityMatrix.from_entries(0.3, 0.2, -0.35, 0.7))
+        times = default_rabi_times(1.0)
+        half_turn = np.sin(0.5 * math.tau * times) ** 2
+        for axis, slope in (("x", 0.35), ("y", 0.2)):
+            want = 0.7 + (0.3 - 0.7) * half_turn + slope * np.sin(math.tau * times)
+            assert np.allclose(run_rabi_scan(plant, axis, times), want, rtol=0.0, atol=1e-15)
+
+
+class TestScanGridCheck:
+    def test_rejected_grid_is_rejected_again(self):
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_1)
+        for _ in range(2):
+            with pytest.raises(ContractError, match="strictly increasing"):
+                run_rabi_scan(plant, "x", np.array([0.2, 0.1]))
+
+    @pytest.mark.parametrize("index, value", [(7, 0.0), (7, math.nan), (0, -0.1)], ids=["decreasing", "nan", "negative"])
+    def test_bad_grid_of_a_checked_grid_size_rejected(self, index, value):
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_1)
+        good = default_rabi_times(1.0)
+        run_rabi_scan(plant, "x", good)
+        grid = good.copy()
+        grid[index] = value
+        with pytest.raises(ContractError):
+            run_rabi_scan(plant, "x", grid)
+        with pytest.raises(ContractError):
+            run_rabi_scan(plant, "y", grid)
+        assert np.array_equal(run_rabi_scan(plant, "x", good), run_rabi_scan(plant, "x", good.copy()))
+
+    def test_byte_equal_grids_share_one_check(self):
+        check = autocal.plant._check_times
+        check.cache_clear()
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_4)
+        for axis in ("x", "y", "x"):
+            run_rabi_scan(plant, axis, np.linspace(0.0, 1.7, 41))  # a new array each time
+        run_rabi_scan(plant, "x", list(np.linspace(0.0, 1.7, 41)))
+        assert (check.cache_info().misses, check.cache_info().hits) == (1, 3)
 
 
 def test_default_rabi_times_span():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from autocal.qubit import (
     _cayley_klein,
-    _propagator_stack,
+    _su2,
     ContractError,
     DensityMatrix,
     PlantParams,
@@ -388,9 +388,7 @@ class TestCayleyKleinProduct:
         pulse = PulseWaveform(duration, x, y)
         params = PlantParams(rabi_frequency, detuning, duration)
         omega = TWO_PI * rabi_frequency
-        stack = _propagator_stack(
-            omega * x, omega * y, np.full(n_t, TWO_PI * detuning), pulse.dt
-        )
+        stack = _su2(*_cayley_klein(omega * x, omega * y, np.full(n_t, TWO_PI * detuning), pulse.dt))
         u = total_propagator(pulse, params)
         bound = 1e-16 * n_t + 1e-14
         assert np.max(np.abs(u - matmul_ordered_product(stack))) <= bound

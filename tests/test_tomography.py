@@ -1133,6 +1133,59 @@ class TestKnownFrequencyFit:
         assert plant.prepares == plant.scans == 0
 
 
+def per_row_fit_at(target, times, rabi_frequency, omega):
+    """One row at a known omega as the per-row loop fitted it before the rows were batched:
+    one product with the cached pseudo-inverse, the SSE of the residual and the threshold rule."""
+    _, design, pinv = _coarse_grid(times.tobytes(), float(rabi_frequency), omega)
+    if not np.isfinite(target).all():
+        return FitFailure(math.nan)
+    params = (pinv.reshape(-1, target.size) @ target).reshape(-1, 4)
+    sse = (((design @ params[..., None])[..., 0] - target) ** 2).sum(axis=1)[0]
+    (s, q, c, b), rms_ = params[0], math.sqrt(sse / (2 * times.size))
+    if rms_ > _RESIDUAL_THRESHOLD:
+        return FitFailure(rms_)
+    return RabiFit(float(s - q), float(b), float(c), float(s + q), float(omega), rms_, False)
+
+
+class TestRowsAtKnownOmega:
+    """Every row fitted at a given omega in one stacked product, each on its own."""
+
+    @given(targets=fit_batches(), omega=st.floats(0.6, 1.4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_fit_does_not_depend_on_the_batch(self, targets, omega, seed):
+        alone = [fit_outcome(_fit_rows(target[None], TIMES, OMEGA, omega)[0]) for target in targets]
+        assert [fit_outcome(f) for f in _fit_rows(targets, TIMES, OMEGA, omega)] == alone
+        for first in range(len(targets)):  # each row heading a batch of four, the others cycled after it
+            four = targets[(first + np.arange(4)) % len(targets)]
+            assert fit_outcome(_fit_rows(four, TIMES, OMEGA, omega)[0]) == alone[first]
+        order = np.random.default_rng(seed).permutation(len(targets))
+        assert [fit_outcome(f) for f in _fit_rows(targets[order], TIMES, OMEGA, omega)] == [alone[i] for i in order]
+
+    def test_non_finite_rows_fail_in_place(self):
+        rng = np.random.default_rng(12)
+        curves = np.concatenate(model_curves(0.2, 0.24, -0.32, 0.8, omega=1.02))
+        targets = curves + rng.normal(0.0, 0.01, (5, curves.size))
+        targets[1, 7], targets[3, 80] = math.nan, math.inf
+        fits = _fit_rows(targets, TIMES, OMEGA, omega=1.02)
+        assert [type(f) for f in fits] == [RabiFit, FitFailure, RabiFit, FitFailure, RabiFit]
+        assert math.isnan(fits[1].residual) and math.isnan(fits[3].residual)
+        for i in (0, 2, 4):
+            assert fit_outcome(fits[i]) == fit_outcome(_fit_rows(targets[i : i + 1], TIMES, OMEGA, omega=1.02)[0])
+
+    @given(targets=fit_batches(), omega=st.floats(0.6, 1.4))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_per_row_formula(self, targets, omega):
+        for got, target in zip(_fit_rows(targets, TIMES, OMEGA, omega), targets):
+            want = per_row_fit_at(target, TIMES, OMEGA, omega)
+            assert type(got) is type(want)
+            if isinstance(want, FitFailure):
+                assert math.isnan(got.residual) if math.isnan(want.residual) else abs(got.residual - want.residual) <= 1e-15
+                continue
+            assert (got.omega, got.at_edge) == (want.omega, False)
+            for name in ("a", "b", "c", "d", "residual"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15
+
+
 class TestCalibrateScan:
     @pytest.mark.parametrize("rate", [1.0, 0.8, 1.01, 1.3])
     def test_noiseless_calibration_measures_the_drive(self, rate):
