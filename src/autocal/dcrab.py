@@ -132,7 +132,7 @@ class DcrabLedger:
         self, times: np.ndarray, active_coeffs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        key = (*self.frozen, self.active, times.tobytes())
+        key = (*self.frozen, self.active, (self.duration, times.tobytes()))  # the window depends on the duration
         if self._cache[0] != key:
             gx = np.zeros_like(times)
             gy = np.zeros_like(times)
@@ -418,7 +418,8 @@ def evaluate_pulse_open_loop(
 
     Used for the open-loop comparison: the pulse is judged against the given
     (possibly perturbed) parameters without any feedback, after the drive
-    chain of ``SimPlant.apply`` at gain ``amplitude_scale``.
+    chain of ``SimPlant.apply`` at gain ``amplitude_scale``.  The gate FoM is
+    ``gate_fom``'s F at the exact outputs: the mean of |<G psi|U psi>|^2.
     """
     u = total_propagator(pulse.scaled(amplitude_scale), params)
     if _check_kind(fom) == "state-transfer":

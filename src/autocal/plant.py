@@ -1,9 +1,9 @@
 """The "experiment" queried by the closed loop.
 
-``PlantInterface`` is the seam a real device plugs into: ``nominal``, ``prepare``,
-``apply``, ``apply_ideal_unitary`` and ``rabi_scan``.  Every point of a scan replays
-the recorded prepare / apply / unitary sequence, then rotates and reads out, so a scan
-leaves the state as it was.  ``SimPlant``, the only shipped plant, scans in closed form.
+``PlantInterface`` is the seam a real device plugs into, four calls: ``nominal``,
+``prepare``, ``apply`` and ``rabi_scan``.  Every point of a scan replays the recorded
+prepare / apply sequence, then rotates and reads out, so a scan leaves the state as it
+was.  ``SimPlant``, the only shipped plant, scans in closed form.
 """
 
 from __future__ import annotations
@@ -94,12 +94,8 @@ class PlantInterface(ABC):
         """Play the candidate pulse through the (imperfect) drive chain."""
 
     @abstractmethod
-    def apply_ideal_unitary(self, u: np.ndarray) -> None:
-        """Calibrated gate applied as an exact matrix action (e.g. G inverse)."""
-
-    @abstractmethod
     def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
-        """P(|0>, t) for each of ``times``: replay since ``prepare``, rotate about ``axis``, read out.
+        """P(|0>, t) for each of ``times``: replay prepare / apply, rotate about ``axis``, read out.
 
         The rotation is a resonant drive at the nominal Rabi frequency, about +x for ``'x'``
         and about -y for ``'y'``, so the curves of P(|0>) follow ``fit_rabi``'s model.  The
@@ -159,9 +155,6 @@ class SimPlant(PlantInterface):
         weights = _scan_weights.__wrapped__(hx, hy, np.array([duration]).tobytes())
         rotated[0, 0] = _rotated_population(rho, hx, hy, *weights)[0]
         self._state = DensityMatrix(rotated)
-
-    def apply_ideal_unitary(self, u: np.ndarray) -> None:
-        self._state = apply_unitary(self.current_state(), u)
 
     def measure_population(self, which: str) -> float:
         """Simulation only: one scan point's readout, kept for tests and per-call tracing."""

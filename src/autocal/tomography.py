@@ -352,10 +352,9 @@ def _tomograph_preparations(
     plant: PlantInterface,
     pulse: PulseWaveform,
     preparations: tuple[PreparationIndex, ...],
-    inverse: np.ndarray | None = None,
     omega: float | None = None,
 ) -> list[StateEstimate]:
-    """State estimates of ``preparations``, in order, after ``pulse`` (then ``inverse``).
+    """State estimates of ``preparations``, in order, after ``pulse``.
 
     The same pulse object is applied each time, so ``SimPlant`` propagates it
     once.  Every scan runs before one ``_fit_rows`` call, at ``omega`` if
@@ -368,8 +367,6 @@ def _tomograph_preparations(
     for idx in preparations:
         plant.prepare(idx)
         plant.apply(pulse)
-        if inverse is not None:
-            plant.apply_ideal_unitary(inverse)
         targets.append(np.concatenate(_scan_pair(plant, times)))
     fits = _fit_rows(np.array(targets), times, plant.nominal.rabi_frequency, omega)
     for idx, fit in zip(preparations, fits):
@@ -384,20 +381,18 @@ def gate_fom(
     ideal_gate: np.ndarray,
     omega: float | None = None,
 ) -> FidelityEstimate:
-    """Average return probability over the four input states.
+    """Mean overlap F = (1/4) sum_i <G psi_i| rho_i |G psi_i> of the four outputs with the ideal gate's.
 
-    Each input is prepared, driven with the candidate pulse, undone with the
-    exact inverse of the ideal gate, and its overlap with the input read off
-    the tomographic reconstruction, fitted at ``omega`` if given.  ``sigma``
-    is the mean of the four per-state sigmas, each a distance from purity
-    (see ``mle_project``), not a standard error of F.
+    Each input psi_i is prepared and driven with the candidate pulse, and its
+    output rho_i is reconstructed by tomography, fitted at ``omega`` if given;
+    F is the mean return probability <psi_i| G^dagger rho_i G |psi_i>.
+    ``sigma`` is the mean of the four per-state sigmas, each a distance from
+    purity (see ``mle_project``), not a standard error of F.
     """
-    inverse = _check_unitary(ideal_gate).conj().T
-    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), inverse, omega)
-    values = []
-    for idx, est in zip(PreparationIndex, estimates):
-        psi = idx.state_vector()
-        values.append(float(np.real(psi.conj() @ est.rho.matrix @ psi)))
+    gate = _check_unitary(ideal_gate)
+    estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), omega)
+    ideals = (gate @ idx.state_vector() for idx in PreparationIndex)
+    values = [float(np.real(phi.conj() @ est.rho.matrix @ phi)) for phi, est in zip(ideals, estimates)]
     sigma = float(np.mean([est.sigma for est in estimates]))
     return FidelityEstimate(value=float(np.mean(values)), sigma=sigma)
 

@@ -267,6 +267,19 @@ class TestLedgerCache:
         with pytest.raises(ContractError, match="length 4N"):
             ledger.update_profiles(times, np.zeros(4 * n_components + 1))
 
+    def test_new_duration_rebuilds_the_window(self):
+        # the window depends on the duration: the same grid under a new duration must not reuse the old one
+        rng = np.random.default_rng(6)
+        ledger = DcrabLedger(duration=0.75)
+        ledger.active = draw_basis(2, 0.75, rng)
+        times = np.arange(300) * (0.75 / 300)
+        coeffs = rng.normal(scale=0.5, size=8)
+        ledger.update_profiles(times, coeffs)
+        ledger.duration = 2.0
+        fresh = DcrabLedger(duration=2.0, active=ledger.active)
+        got, want = ledger.update_profiles(times, coeffs), fresh.update_profiles(times, coeffs)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_channel_profiles_match_the_direct_formula(self):
         # the shared basis and weighing give the per-channel sums written out in full
         rng = np.random.default_rng(4)

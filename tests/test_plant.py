@@ -14,7 +14,8 @@ from autocal.plant import (
     run_rabi_scan,
 )
 from autocal.qubit import ContractError, DensityMatrix, PlantParams, PulseWaveform, pauli_rotation_propagator
-from autocal.tomography import state_transfer_fom
+from autocal.dcrab import DcrabConfig, run_dcrab
+from autocal.tomography import process_tomography, state_transfer_fom
 
 
 def make_plant(**config_kwargs):
@@ -41,7 +42,7 @@ def reference_rabi_scan(plant: SimPlant, axis, times):
 
 
 class DelegatingPlant(PlantInterface):
-    """A device-style plant: forwards the five seam calls and scans point by point."""
+    """A device-style plant: forwards the four seam calls and scans point by point."""
 
     def __init__(self, inner: SimPlant):
         self.inner = inner
@@ -55,9 +56,6 @@ class DelegatingPlant(PlantInterface):
 
     def apply(self, pulse):
         self.inner.apply(pulse)
-
-    def apply_ideal_unitary(self, u):
-        self.inner.apply_ideal_unitary(u)
 
     def rabi_scan(self, axis, times):
         return reference_rabi_scan(self.inner, axis, times)
@@ -314,16 +312,13 @@ class TestRabiScan:
 
 
 class TestRabiScanSeam:
-    def test_interface_is_the_five_device_calls(self):
-        assert PlantInterface.__abstractmethods__ == {
-            "nominal", "prepare", "apply", "apply_ideal_unitary", "rabi_scan"
-        }
+    def test_interface_is_the_four_device_calls(self):
+        assert PlantInterface.__abstractmethods__ == {"nominal", "prepare", "apply", "rabi_scan"}
 
         class NoScanPlant(PlantInterface):
             nominal = DelegatingPlant.nominal
             prepare = DelegatingPlant.prepare
             apply = DelegatingPlant.apply
-            apply_ideal_unitary = DelegatingPlant.apply_ideal_unitary
 
         with pytest.raises(TypeError):
             NoScanPlant()
@@ -379,6 +374,26 @@ class TestRabiScanSeam:
         sim = make_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
         device = make_delegating_plant(noiseless=noiseless, seed=7, detuning_offset=0.3)
         assert state_transfer_fom(device, pulse) == state_transfer_fom(sim, pulse)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_four_call_device_runs_a_gate_calibration(self, noiseless):
+        # a device with the four seam calls alone runs a whole gate calibration and its
+        # closing process tomography, and matches the closed-form plant bit for bit
+        config = DcrabConfig(superiterations=2, max_evals_per_superiteration=6, seed=3, n_t=200)
+        outcomes = []
+        for factory in (make_plant, make_delegating_plant):
+            plant = factory(noiseless=noiseless, repetitions=1_000, seed=11, detuning_offset=0.2)
+            result = run_dcrab(plant, "gate", config)
+            chi = process_tomography(plant, result.best_pulse)
+            sim = getattr(plant, "inner", plant)
+            outcomes.append((
+                result.fom_trace.tobytes(),
+                result.best_pulse.x.tobytes(),
+                result.best_pulse.y.tobytes(),
+                chi.matrix.tobytes(),
+                sim._rng.bit_generator.state,
+            ))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("noiseless", [True, False])
     def test_new_time_grid_rebuilds_scan_rotations(self, noiseless):

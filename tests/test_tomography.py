@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import autocal.qubit
 import autocal.tomography
+from autocal.dcrab import evaluate_pulse_open_loop
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig, default_rabi_times, run_rabi_scan
 from autocal.qubit import (
     ContractError,
@@ -879,14 +880,12 @@ class TestLoopMatchesCoroutine:
         assert [fit_outcome(f) for f in got] == [fit_outcome(f) for f in want]
 
 
-def per_preparation_estimates(plant, pulse, inverse=None, omega=None):
+def per_preparation_estimates(plant, pulse, omega=None):
     """The per-preparation path: prepare, apply, scan and fit one input at a time, at ``omega`` if given."""
     estimates = []
     for idx in PreparationIndex:
         plant.prepare(idx)
         plant.apply(pulse)
-        if inverse is not None:
-            plant.apply_ideal_unitary(inverse)
         if omega is None:
             estimates.append(state_tomography(plant))
         else:
@@ -898,11 +897,10 @@ def per_preparation_estimates(plant, pulse, inverse=None, omega=None):
 
 
 def per_preparation_gate_fom(plant, pulse, ideal_gate):
-    estimates = per_preparation_estimates(plant, pulse, np.asarray(ideal_gate).conj().T)
-    values = [
-        float(np.real(idx.state_vector().conj() @ est.rho.matrix @ idx.state_vector()))
-        for idx, est in zip(PreparationIndex, estimates)
-    ]
+    """The mean overlap <G psi| rho |G psi> of the per-preparation path's outputs with the ideal outputs."""
+    estimates = per_preparation_estimates(plant, pulse)
+    ideals = [np.asarray(ideal_gate) @ idx.state_vector() for idx in PreparationIndex]
+    values = [float(np.real(phi.conj() @ est.rho.matrix @ phi)) for phi, est in zip(ideals, estimates)]
     sigma = float(np.mean([est.sigma for est in estimates]))
     return FidelityEstimate(value=float(np.mean(values)), sigma=sigma)
 
@@ -947,6 +945,43 @@ class TestBatchedPreparations:
             want = FidelityEstimate(est.rho.a, est.sigma)
             assert (repr(got.value), repr(got.sigma)) == (repr(want.value), repr(want.sigma))
             assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+class UndoingPlant(SimPlant):
+    """The inverse route to the gate FoM: after every pulse, the exact inverse of ``gate`` acts on the state.
+
+    ``gate_fom`` against the identity on this plant scans G^dagger rho G and scores its return
+    probability <psi| G^dagger rho G |psi>, as an estimator that undoes G before tomography does.
+    """
+
+    def __init__(self, nominal, config, gate):
+        super().__init__(nominal, config)
+        self.inverse = np.asarray(gate).conj().T
+
+    def apply(self, pulse):
+        super().apply(pulse)
+        self.set_state(apply_unitary(self.current_state(), self.inverse))
+
+
+class TestGateFomAgainstInverseRoute:
+    def test_shot_noise_error_matches_the_inverse_route(self):
+        # 12 constant pulses near G x 100 plant seeds per shot count, fitted at the scan drive's omega;
+        # each route's error is measured against the exact F of the open-loop model
+        params = PlantParams(OMEGA, 0.0, 0.25)
+        rng = np.random.default_rng(12)
+        pulses = [PulseWaveform.constant(rng.uniform(0.6, 1.0), rng.uniform(-0.2, 0.0), 0.25, 200) for _ in range(12)]
+        exact = [evaluate_pulse_open_loop(pulse, params, "gate").value for pulse in pulses]
+        for shots in (1_000, 10_000):
+            overlap, inverse = [], []
+            for seed in range(100):
+                config = SimPlantConfig(noiseless=False, repetitions=shots, seed=seed)
+                plant, undoing = SimPlant(params, config), UndoingPlant(params, config, GATE_G)
+                for pulse, f in zip(pulses, exact):
+                    overlap.append(gate_fom(plant, pulse, GATE_G, omega=OMEGA).value - f)
+                    inverse.append(gate_fom(undoing, pulse, IDENTITY, omega=OMEGA).value - f)
+            assert 0.85 <= rms(overlap) / rms(inverse) <= 1.15
+            for errors in (overlap, inverse):
+                assert abs(np.mean(errors)) <= 3.0 * np.std(errors, ddof=1) / math.sqrt(len(errors))
 
 
 class BadPreparationPlant(SimPlant):
