@@ -111,7 +111,7 @@ def draw_basis(n_components: int, duration: float, rng: np.random.Generator) -> 
 
 @dataclass
 class DcrabLedger:
-    """Frozen super-iteration terms plus the active one.
+    """Frozen super-iteration terms plus the active one, on ``n_t`` samples over ``duration``.
 
     The guess pulse contributes a constant unit amplitude envelope assigned
     to the X channel; the multiplicative update g is windowed by
@@ -119,53 +119,42 @@ class DcrabLedger:
     """
 
     duration: float
+    n_t: int
     frozen: list[BasisTerm] = field(default_factory=list)
     active: BasisTerm | None = None
-    # what the last set of terms and time grid fix, built once per super-iteration:
-    # (key: the terms themselves and the grid, frozen gx, frozen gy, window, active basis)
+    # what the terms and the grid fix, built once per super-iteration:
+    # (key: the terms themselves, duration and n_t; frozen gx, frozen gy, window, active basis)
     _cache: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
-    def window(self, times: np.ndarray) -> np.ndarray:
-        return np.sin(math.pi * times / self.duration)
-
-    def update_profiles(
-        self, times: np.ndarray, active_coeffs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def update_profiles(self, active_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        key = (*self.frozen, self.active, (self.duration, times.tobytes()))  # the window depends on the duration
+        key = (*self.frozen, self.active, (self.duration, self.n_t))
         if self._cache[0] != key:
+            times = np.arange(self.n_t) * (self.duration / self.n_t)
             gx = np.zeros_like(times)
             gy = np.zeros_like(times)
             for term in self.frozen:
                 tx, ty = term.channel_profiles(times)
                 gx += tx
                 gy += ty
-            self._cache = (key, gx, gy, self.window(times), self.active.basis(times))
+            self._cache = (key, gx, gy, np.sin(math.pi * times / self.duration), self.active.basis(times))
         _, gx, gy, w, basis = self._cache
         tx, ty = _weigh(self.active.with_coeffs(active_coeffs).coeffs, basis)
         return w * (gx + tx), w * (gy + ty)
 
 
-def assemble_pulse(
-    ledger: DcrabLedger,
-    active_coeffs: np.ndarray,
-    params: PlantParams,
-    n_t: int,
-) -> PulseWaveform:
-    """Waveform for the given active coefficients, amplitude constraint enforced.
+def assemble_pulse(ledger: DcrabLedger, active_coeffs: np.ndarray) -> PulseWaveform:
+    """The ledger's waveform at the given active coefficients, amplitude constraint enforced.
 
     Samples where the raw |X + Y| exceeds 1 are rescaled (both channels) by
     1 / |X + Y|.
     """
     if ledger.active is None:
         raise ContractError("ledger has no active term")
-    if ledger.duration != params.duration:  # else the window does not vanish at the pulse's end
-        raise ContractError(f"ledger duration {ledger.duration!r} is not params.duration {params.duration!r}")
-    times = np.arange(n_t) * (params.duration / n_t)
-    gx, gy = ledger.update_profiles(times, np.asarray(active_coeffs, dtype=float))
+    gx, gy = ledger.update_profiles(np.asarray(active_coeffs, dtype=float))
     # guess envelope is identically 1, so the channels are the windowed sums
     x, y = clip_amplitudes(gx, gy)
-    return PulseWaveform(params.duration, x, y)
+    return PulseWaveform(ledger.duration, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +338,7 @@ def run_dcrab(
         calibration = calibrate_scan(plant)
         fom = make_fom(fom, calibration.omega)
     rng = np.random.default_rng(config.seed)
-    params = plant.nominal
-    ledger = DcrabLedger(duration=params.duration)
+    ledger = DcrabLedger(duration=plant.nominal.duration, n_t=config.n_t)
 
     records: list[EvaluationRecord] = []
     failures: list[FitFailure] = []
@@ -360,7 +348,7 @@ def run_dcrab(
 
     def objective(coeffs: np.ndarray) -> float:
         nonlocal best_estimate, best_pulse
-        pulse = assemble_pulse(ledger, coeffs, params, config.n_t)
+        pulse = assemble_pulse(ledger, coeffs)
         try:
             estimate = fom(plant, pulse)
         except FitFailure as err:
@@ -382,7 +370,7 @@ def run_dcrab(
         return estimate.value
 
     for superiteration in range(config.superiterations):
-        ledger.active = draw_basis(config.n_components, params.duration, rng)
+        ledger.active = draw_basis(config.n_components, ledger.duration, rng)
         nm = nelder_mead(
             objective,
             np.zeros(4 * config.n_components),

@@ -58,7 +58,7 @@ class SimPlantConfig:
 
     ``detuning_offset`` (MHz) and ``amplitude_scale`` model miscalibration
     relative to the nominal parameters.  ``repetitions`` is the shot count
-    of every population measurement, at least 1 in either mode;
+    of every population measurement, from 1 to 2**63 - 1 in either mode;
     ``noiseless`` returns exact probabilities instead.
     """
 
@@ -73,6 +73,8 @@ class SimPlantConfig:
             raise ContractError("amplitude_scale must be positive and finite")
         if self.repetitions < 1:
             raise ContractError("repetitions must be >= 1")
+        if self.repetitions > 2**63 - 1:  # the binomial shot draws take a 64-bit count
+            raise ContractError("repetitions must be <= 2**63 - 1")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
 

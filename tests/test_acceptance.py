@@ -221,9 +221,9 @@ def test_criterion_9_property_suite(acceptance):
     rng = np.random.default_rng(99)
     constraint_ok = True
     for term in result.ledger.frozen:
-        ledger_probe = type(result.ledger)(duration=params.duration)
+        ledger_probe = type(result.ledger)(duration=params.duration, n_t=500)
         ledger_probe.active = term
-        pulse = assemble_pulse(ledger_probe, rng.normal(size=4), params, 500)
+        pulse = assemble_pulse(ledger_probe, rng.normal(size=4))
         constraint_ok &= bool(np.max(np.abs(pulse.x + pulse.y)) <= 1.0 + 1e-12)
     checks["amplitude constraint"] = constraint_ok
 

@@ -116,10 +116,8 @@ class TestDrawBasis:
 
 
 class TestAssemblePulse:
-    PARAMS = PlantParams(1.0, 0.0, 1.0)
-
-    def ledger_with_zero_freq_term(self):
-        ledger = DcrabLedger(duration=1.0)
+    def ledger_with_zero_freq_term(self, n_t=200):
+        ledger = DcrabLedger(duration=1.0, n_t=n_t)
         ledger.active = BasisTerm(
             freqs_x=np.array([0.0]), freqs_y=np.array([0.0]), coeffs=np.zeros(4)
         )
@@ -127,14 +125,14 @@ class TestAssemblePulse:
 
     def test_zero_coefficients_zero_waveform(self):
         ledger = self.ledger_with_zero_freq_term()
-        pulse = assemble_pulse(ledger, np.zeros(4), self.PARAMS, 200)
+        pulse = assemble_pulse(ledger, np.zeros(4))
         assert np.all(pulse.x == 0.0)
         assert np.all(pulse.y == 0.0)
 
     def test_constant_term_yields_window(self):
         # b0 = 1 at frequency zero on X gives X(t) = sin(pi t / T)
         ledger = self.ledger_with_zero_freq_term()
-        pulse = assemble_pulse(ledger, np.array([0.0, 1.0, 0.0, 0.0]), self.PARAMS, 200)
+        pulse = assemble_pulse(ledger, np.array([0.0, 1.0, 0.0, 0.0]))
         times = np.arange(200) / 200.0
         assert np.allclose(pulse.x, np.sin(math.pi * times), atol=1e-12)
         assert np.all(pulse.y == 0.0)
@@ -143,7 +141,7 @@ class TestAssemblePulse:
 
     def test_constraint_enforced_by_rescaling(self):
         ledger = self.ledger_with_zero_freq_term()
-        pulse = assemble_pulse(ledger, np.array([0.0, 2.0, 0.0, 1.0]), self.PARAMS, 200)
+        pulse = assemble_pulse(ledger, np.array([0.0, 2.0, 0.0, 1.0]))
         assert np.max(np.abs(pulse.x + pulse.y)) <= 1.0 + 1e-12
         # below-constraint samples keep the raw 2:1 channel ratio
         small = np.abs(pulse.x + pulse.y) < 0.999
@@ -151,79 +149,95 @@ class TestAssemblePulse:
 
     def test_update_vanishes_at_boundaries(self):
         rng = np.random.default_rng(9)
-        ledger = DcrabLedger(duration=1.0)
+        ledger = DcrabLedger(duration=1.0, n_t=500)
         ledger.active = draw_basis(2, 1.0, rng)
-        pulse = assemble_pulse(ledger, rng.normal(size=8), self.PARAMS, 500)
+        pulse = assemble_pulse(ledger, rng.normal(size=8))
         assert pulse.x[0] == 0.0 and pulse.y[0] == 0.0
 
     def test_wrong_coeff_length(self):
-        ledger = self.ledger_with_zero_freq_term()
+        ledger = self.ledger_with_zero_freq_term(n_t=100)
         with pytest.raises(ContractError):
-            assemble_pulse(ledger, np.zeros(6), self.PARAMS, 100)
+            assemble_pulse(ledger, np.zeros(6))
 
     def test_no_active_term_rejected(self):
         with pytest.raises(ContractError, match="no active term"):
-            assemble_pulse(DcrabLedger(duration=1.0), np.zeros(4), self.PARAMS, 100)
+            assemble_pulse(DcrabLedger(duration=1.0, n_t=100), np.zeros(4))
 
-    def test_ledger_of_another_duration_rejected(self):
-        # windowed over 1.0 but sampled over 0.5, the last sample would read X = 0.99997, not ~0 at t = T
-        ledger = self.ledger_with_zero_freq_term()
-        with pytest.raises(ContractError, match=r"^ledger duration 1.0 is not params.duration 0.5$"):
-            assemble_pulse(ledger, np.array([0.0, 1.0, 0.0, 0.0]), PlantParams(1.0, 0.0, 0.5), 200)
+    @given(
+        duration=st.floats(0.05, 5.0),
+        n_t=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_run_evaluates_pulses_on_the_plant_grid(self, duration, n_t, seed):
+        # the ledger is built from the plant's duration and config.n_t, so every evaluated
+        # pulse has that duration and that many samples, and its update vanishes at t = 0
+        pulses = []
+
+        def spy(plant, pulse):
+            pulses.append(pulse)
+            return FidelityEstimate(0.5, 0.0)  # below the target, so every budget is spent
+
+        plant = SimPlant(PlantParams(1.0, 0.0, duration), SimPlantConfig())
+        config = DcrabConfig(n_components=1, superiterations=2, max_evals_per_superiteration=6, n_t=n_t, seed=seed)
+        result = run_dcrab(plant, spy, config)
+        assert len(pulses) == result.n_evaluations == 12
+        for pulse in pulses:
+            assert pulse.duration == duration and pulse.x.size == pulse.y.size == n_t
+            assert pulse.x[0] == 0.0 and pulse.y[0] == 0.0
 
     @staticmethod
-    def uncached_pulse(ledger, coeffs, params, n_t):
+    def uncached_pulse(ledger, coeffs):
         """Every term's profile summed afresh, in ledger order, then windowed and clipped."""
-        times = np.arange(n_t) * (params.duration / n_t)
+        times = np.arange(ledger.n_t) * (ledger.duration / ledger.n_t)
         gx, gy = np.zeros_like(times), np.zeros_like(times)
         for term in [*ledger.frozen, ledger.active.with_coeffs(coeffs)]:
             tx, ty = term.channel_profiles(times)
             gx += tx
             gy += ty
-        w = ledger.window(times)
+        w = np.sin(math.pi * times / ledger.duration)
         return clip_amplitudes(w * gx, w * gy)
 
     def test_frozen_sums_match_uncached_profiles(self):
         rng = np.random.default_rng(21)
-        params = PlantParams(1.0, 0.0, 0.75)
-        # same n_t, another duration: a new time grid of the same size
-        stretched = PlantParams(1.0, 0.0, 0.8)
-        ledger = DcrabLedger(duration=params.duration)
+        duration = 0.75
+        ledger = DcrabLedger(duration=duration, n_t=1000)
 
-        def check(plant_params, n_t):
+        def check(n_t, new_duration=duration):
+            ledger.n_t, ledger.duration = n_t, new_duration
             coeffs = rng.normal(scale=0.5, size=8)
-            pulse = assemble_pulse(ledger, coeffs, plant_params, n_t)
-            x, y = self.uncached_pulse(ledger, coeffs, plant_params, n_t)
+            pulse = assemble_pulse(ledger, coeffs)
+            x, y = self.uncached_pulse(ledger, coeffs)
+            assert pulse.duration == new_duration
             assert pulse.x.tobytes() == x.tobytes() and pulse.y.tobytes() == y.tobytes()
 
         for superiteration in range(6):
-            ledger.active = draw_basis(2, params.duration, rng)
+            ledger.active = draw_basis(2, duration, rng)
             for n_t in (1000, 5000, 1000, 200):
                 for _ in range(3):
-                    check(params, n_t)
-            ledger.duration = stretched.duration  # a ledger windows only pulses of its own duration
-            check(stretched, 200)
-            ledger.duration = params.duration
-            check(params, 200)
+                    check(n_t)
+            check(200, 0.8)  # same n_t, another duration: a new time grid of the same size
+            check(200)
             ledger.frozen.append(ledger.active.with_coeffs(rng.normal(scale=0.5, size=8)))
         # a replaced set of frozen terms of the same length is summed afresh
-        check(params, 200)
-        ledger.frozen = [draw_basis(2, params.duration, rng).with_coeffs(rng.normal(size=8)) for _ in range(6)]
-        check(params, 200)
+        check(200)
+        ledger.frozen = [draw_basis(2, duration, rng).with_coeffs(rng.normal(size=8)) for _ in range(6)]
+        check(200)
 
 
 class TestLedgerCache:
     """``update_profiles`` reuses the active term's basis; each result must equal the uncached sum."""
 
     @staticmethod
-    def uncached_profiles(ledger, times, coeffs):
+    def uncached_profiles(ledger, coeffs):
         """Every term's profile summed afresh, in ledger order, then windowed."""
+        times = np.arange(ledger.n_t) * (ledger.duration / ledger.n_t)
         gx, gy = np.zeros_like(times), np.zeros_like(times)
         for term in [*ledger.frozen, ledger.active.with_coeffs(coeffs)]:
             tx, ty = term.channel_profiles(times)
             gx += tx
             gy += ty
-        w = ledger.window(times)
+        w = np.sin(math.pi * times / ledger.duration)
         return w * gx, w * gy
 
     @given(
@@ -235,9 +249,8 @@ class TestLedgerCache:
     def test_matches_uncached_profiles_bitwise(self, ops, n_components, seed):
         rng = np.random.default_rng(seed)
         duration = 0.75
-        ledger = DcrabLedger(duration=duration)
+        ledger = DcrabLedger(duration=duration, n_t=300)
         ledger.active = draw_basis(n_components, duration, rng)
-        times = np.arange(300) * (duration / 300)
         for op in ["eval", *ops]:
             if op == "swap":
                 ledger.active = draw_basis(n_components, duration, rng)
@@ -247,8 +260,12 @@ class TestLedgerCache:
                 ledger.active = None
                 ledger.active = draw_basis(n_components, duration, rng)
             elif op == "grid":
-                n_t = int(rng.choice([2, 300, 5000]))
-                times = np.arange(n_t) * (rng.uniform(0.5, 1.0) * duration / n_t)
+                # a new sample count, a new duration, or both: the cache must rebuild the grid
+                change = rng.integers(3)
+                if change != 1:
+                    ledger.n_t = int(rng.choice([2, 300, 5000]))
+                if change != 0:
+                    ledger.duration = rng.uniform(0.5, 1.0) * duration
             elif op == "freeze":
                 ledger.frozen.append(ledger.active.with_coeffs(rng.normal(size=4 * n_components)))
                 ledger.active = None
@@ -258,26 +275,25 @@ class TestLedgerCache:
                 ledger.frozen = [term.with_coeffs(term.coeffs) for term in ledger.frozen]
             for _ in range(2):
                 coeffs = rng.normal(scale=0.5, size=4 * n_components)
-                gx, gy = ledger.update_profiles(times, coeffs)
-                x, y = self.uncached_profiles(ledger, times, coeffs)
+                gx, gy = ledger.update_profiles(coeffs)
+                x, y = self.uncached_profiles(ledger, coeffs)
                 assert gx.tobytes() == x.tobytes() and gy.tobytes() == y.tobytes()
                 key_terms = ledger._cache[0][:-1]
                 assert len(key_terms) == len(ledger.frozen) + 1
                 assert all(a is b for a, b in zip(key_terms, [*ledger.frozen, ledger.active]))
         with pytest.raises(ContractError, match="length 4N"):
-            ledger.update_profiles(times, np.zeros(4 * n_components + 1))
+            ledger.update_profiles(np.zeros(4 * n_components + 1))
 
     def test_new_duration_rebuilds_the_window(self):
         # the window depends on the duration: the same grid under a new duration must not reuse the old one
         rng = np.random.default_rng(6)
-        ledger = DcrabLedger(duration=0.75)
+        ledger = DcrabLedger(duration=0.75, n_t=300)
         ledger.active = draw_basis(2, 0.75, rng)
-        times = np.arange(300) * (0.75 / 300)
         coeffs = rng.normal(scale=0.5, size=8)
-        ledger.update_profiles(times, coeffs)
+        ledger.update_profiles(coeffs)
         ledger.duration = 2.0
-        fresh = DcrabLedger(duration=2.0, active=ledger.active)
-        got, want = ledger.update_profiles(times, coeffs), fresh.update_profiles(times, coeffs)
+        fresh = DcrabLedger(duration=2.0, n_t=300, active=ledger.active)
+        got, want = ledger.update_profiles(coeffs), fresh.update_profiles(coeffs)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_channel_profiles_match_the_direct_formula(self):
@@ -815,9 +831,9 @@ class TestOpenLoopEvaluation:
         # the model must re-clip them exactly as the plant's drive chain does
         params = PlantParams(1.0, 0.3, 0.75)
         rng = np.random.default_rng(0)
-        ledger = DcrabLedger(duration=params.duration)
+        ledger = DcrabLedger(duration=params.duration, n_t=200)
         ledger.active = draw_basis(1, params.duration, rng)
-        pulse = assemble_pulse(ledger, rng.uniform(-3.0, 3.0, 4), params, 200)
+        pulse = assemble_pulse(ledger, rng.uniform(-3.0, 3.0, 4))
         assert np.max(np.abs(pulse.x + pulse.y)) > 1.0
         propagated = []
 

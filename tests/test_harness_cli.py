@@ -594,6 +594,20 @@ class TestCli:
         assert "repetitions must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("noise", [[], ["--noise"]])
+    @pytest.mark.parametrize("command", ["invert", "qpt"])
+    def test_shots_beyond_64_bits_is_config_error(self, tmp_path, capsys, command, noise):
+        # numpy's binomial draws take a C long: 2**63 shots once failed at the first noisy scan, exit 3
+        pulse = tmp_path / "pulse.csv"
+        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        extra = noise + (["--pulse", str(pulse)] if command == "qpt" else self.FAST_ARGS)
+        code = main([command, "--shots", str(2**63), "--out", str(tmp_path / "out")] + extra)
+        assert code == 2
+        assert "repetitions must be <= 2**63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main([command, "--shots", str(2**63 - 1), "--out", str(tmp_path / "out")] + extra) == 0
+        assert (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["invert", "gate"])
     def test_short_rabi_scan_is_config_error(self, tmp_path, capsys, monkeypatch, command):
         # a plant that breaks the rabi_scan contract is a configuration error, not a crash
