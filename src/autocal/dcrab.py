@@ -21,7 +21,7 @@ from .qubit import (
     PlantParams,
     PulseWaveform,
     clip_amplitudes,
-    total_propagator,
+    driven_propagator,
 )
 from .tomography import FidelityEstimate, FitFailure, RabiFit, calibrate_scan, gate_fom, state_transfer_fom
 
@@ -139,7 +139,9 @@ class DcrabLedger:
                 gy += ty
             self._cache = (key, gx, gy, np.sin(math.pi * times / self.duration), self.active.basis(times))
         _, gx, gy, w, basis = self._cache
-        tx, ty = _weigh(self.active.with_coeffs(active_coeffs).coeffs, basis)
+        if active_coeffs.shape != (4 * self.active.n_components,):
+            raise ContractError("coefficient vector must have length 4N")
+        tx, ty = _weigh(active_coeffs, basis)
         return w * (gx + tx), w * (gy + ty)
 
 
@@ -225,7 +227,7 @@ def nelder_mead(
             values = values[order]
             if np.max(np.abs(vertices[1:] - vertices[0])) < tol:
                 break
-            centroid = vertices[:-1].mean(axis=0)
+            centroid = np.add.reduce(vertices[:-1]) / dim  # np.mean's row-by-row sum and division
             worst = values[-1]
             reflected = centroid + (centroid - vertices[-1])
             fr = f(reflected)
@@ -409,13 +411,10 @@ def evaluate_pulse_open_loop(
     chain of ``SimPlant.apply`` at gain ``amplitude_scale``.  The gate FoM is
     ``gate_fom``'s F at the exact outputs: the mean of |<G psi|U psi>|^2.
     """
-    u = total_propagator(pulse.scaled(amplitude_scale), params)
+    u = driven_propagator(pulse, params, amplitude_scale)
     if _check_kind(fom) == "state-transfer":
         value = abs(u[1, 0]) ** 2
     else:
-        probs = []
-        for idx in PreparationIndex:
-            psi = idx.state_vector()
-            probs.append(abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2)
-        value = float(np.mean(probs))
+        psis = [idx.state_vector() for idx in PreparationIndex]
+        value = float(np.mean([abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2 for psi in psis]))
     return FidelityEstimate(value=value, sigma=0.0)

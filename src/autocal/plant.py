@@ -22,9 +22,9 @@ from .qubit import (
     PlantParams,
     PulseWaveform,
     apply_unitary,
+    driven_propagator,
     pauli_rotation_propagator,
     population,
-    total_propagator,
     TWO_PI,
 )
 
@@ -144,7 +144,7 @@ class SimPlant(PlantInterface):
         """
         rho = self.current_state()
         if self._last_pulse is not pulse:
-            self._last_unitary = total_propagator(pulse.scaled(self.config.amplitude_scale), self._true)
+            self._last_unitary = driven_propagator(pulse, self._true, self.config.amplitude_scale)
             self._last_pulse = pulse
         self._state = apply_unitary(rho, self._last_unitary)
 
@@ -167,7 +167,7 @@ class SimPlant(PlantInterface):
         rho = self.current_state().matrix
         hx, hy = self._rotation_rates(axis)
         p = _rotated_population(rho, hx, hy, *_scan_weights(hx, hy, times.tobytes()))
-        return self._sample(np.clip(p, 0.0, 1.0))
+        return self._sample(np.minimum(1.0, np.maximum(0.0, p)))  # np.clip's result, -0.0 included
 
     def _rotation_rates(self, axis: str) -> tuple[float, float]:
         """(hx, hy) in rad/us of the tomography drive about ``axis``, as ``rabi_scan`` states."""
@@ -213,15 +213,18 @@ def _rotated_population(rho: np.ndarray, hx: float, hy: float, sin2_half, sin_th
     return d + (rho[1, 1].real - d) * sin2_half + k * sin_theta
 
 
+@functools.lru_cache(maxsize=8)
 def default_rabi_times(rabi_frequency: float) -> np.ndarray:
-    """Tomography scan grid: 41 durations spanning [0, 2 / Omega]."""
-    return np.linspace(0.0, 2.0 / rabi_frequency, 41)
+    """Tomography scan grid: 41 durations spanning [0, 2 / Omega], one shared read-only array per frequency."""
+    times = np.linspace(0.0, 2.0 / rabi_frequency, 41)
+    times.flags.writeable = False
+    return times
 
 
 def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.ndarray:
     """Sample P(|0>, t) after rotating the current state about ``axis``.
 
-    Checks the axis ('x' or 'y') and the time grid (non-empty, finite,
+    Checks the axis ('x' or 'y') and the time grid (1-d, non-empty, finite,
     non-negative, strictly increasing), hands the scan to ``plant.rabi_scan``
     and checks that it returns one float per time; non-finite samples pass
     here and fail the Rabi fit as bad measurements.
@@ -229,6 +232,8 @@ def run_rabi_scan(plant: PlantInterface, axis: str, times: np.ndarray) -> np.nda
     if axis not in ("x", "y"):
         raise ContractError(f"unknown rotation axis {axis!r}")
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ContractError("times must be a 1-d array")
     _check_times(times.tobytes())
     scan = plant.rabi_scan(axis, times)
     if not isinstance(scan, np.ndarray) or scan.dtype.kind != "f" or scan.shape != (times.size,):

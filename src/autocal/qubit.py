@@ -63,9 +63,9 @@ def pauli_rotation_propagator(hx: float, hy: float, hz: float, dt: float) -> np.
 
 
 def _cayley_klein(
-    hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, dt: float | np.ndarray
+    hx: np.ndarray, hy: np.ndarray, hz: float | np.ndarray, dt: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (alpha, beta) of ``pauli_rotation_propagator``, unchecked."""
+    """Per-sample (alpha, beta) of ``pauli_rotation_propagator``, unchecked; ``hz`` may be one scalar for all."""
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
     half = 0.5 * norm * dt
     # sin(half)/norm written via sinc so the zero-generator limit is exact
@@ -151,9 +151,10 @@ class PulseWaveform:
             raise ContractError("duration must be positive and finite")
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ContractError("channels must be equal-length 1-d arrays, n_t >= 2")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        total = x + y  # finite only where both channels are
+        if not np.isfinite(total).all() and not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ContractError("non-finite channel samples")
-        if np.max(np.abs(x + y)) > 1.0 + 1e-12:
+        if np.abs(total).max() > 1.0 + 1e-12:
             raise ContractError("|X + Y| <= 1 violated")
 
     @property
@@ -176,10 +177,6 @@ class PulseWaveform:
     @staticmethod
     def zero(duration: float, n_t: int = 1000) -> "PulseWaveform":
         return PulseWaveform.constant(0.0, 0.0, duration, n_t)
-
-    def scaled(self, gain: float) -> "PulseWaveform":
-        """The pulse out of a drive chain of amplitude ``gain``: both channels scaled, then re-clipped."""
-        return PulseWaveform(self.duration, *clip_amplitudes(gain * self.x, gain * self.y))
 
     def __reduce__(self):
         # rebuild through the constructor, so an unpickled pulse has read-only channels too
@@ -286,19 +283,19 @@ def evolve_density(rho0: DensityMatrix, pulse: PulseWaveform, params: PlantParam
     return apply_unitary(rho0, total_propagator(pulse, params))
 
 
-def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
-    """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators.
+def total_propagator(pulse: PulseWaveform, params: PlantParams, channels: tuple | None = None) -> np.ndarray:
+    """Unitary implemented by ``pulse``, or by ``channels`` (x, y) on its grid: product of per-sample propagators.
 
     Every propagation passes here, so the duration rule lives here: a pulse must last ``params.duration``.
     """
     if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
         raise ContractError("pulse duration does not match plant duration")
+    x, y = (pulse.x, pulse.y) if channels is None else channels
     omega = TWO_PI * params.rabi_frequency
-    alpha, beta = _cayley_klein(
-        omega * pulse.x,
-        omega * pulse.y,
-        np.full(pulse.n_t, TWO_PI * params.detuning),
-        pulse.dt,
-    )
+    alpha, beta = _cayley_klein(omega * x, omega * y, TWO_PI * params.detuning, pulse.dt)
     return _su2(*_ck_product(alpha, beta))
 
+
+def driven_propagator(pulse: PulseWaveform, params: PlantParams, gain: float) -> np.ndarray:
+    """Unitary of ``pulse`` out of a drive chain of amplitude ``gain``: both channels scaled, then re-clipped."""
+    return total_propagator(pulse, params, clip_amplitudes(gain * pulse.x, gain * pulse.y))

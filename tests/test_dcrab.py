@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import autocal.dcrab
-import autocal.plant
+import autocal.qubit
 import autocal.tomography
 from autocal.dcrab import (
     BasisTerm,
@@ -837,16 +837,16 @@ class TestOpenLoopEvaluation:
         assert np.max(np.abs(pulse.x + pulse.y)) > 1.0
         propagated = []
 
-        def recording(waveform, plant_params):
-            propagated.append(waveform)
-            return total_propagator(waveform, plant_params)
+        def recording(waveform, plant_params, channels=None):
+            propagated.append(channels)
+            return total_propagator(waveform, plant_params, channels)
 
-        monkeypatch.setattr(autocal.plant, "total_propagator", recording)
-        monkeypatch.setattr(autocal.dcrab, "total_propagator", recording)
+        # the drive chain of both hands its channels to total_propagator
+        monkeypatch.setattr(autocal.qubit, "total_propagator", recording)
         plant = SimPlant(params, SimPlantConfig())
         plant.prepare(PreparationIndex.PSI_1)
         plant.apply(pulse)
         evaluate_pulse_open_loop(pulse, plant.true_params)
-        driven, modelled = propagated
-        assert driven.x.tobytes() == modelled.x.tobytes()
-        assert driven.y.tobytes() == modelled.y.tobytes()
+        (driven_x, driven_y), (modelled_x, modelled_y) = propagated
+        assert driven_x.tobytes() == modelled_x.tobytes()
+        assert driven_y.tobytes() == modelled_y.tobytes()

@@ -490,6 +490,23 @@ class TestClosedFormScan:
 
 
 class TestScanGridCheck:
+    @pytest.mark.parametrize("factory", [make_plant, make_delegating_plant], ids=["sim", "delegating"])
+    @pytest.mark.parametrize("times", [[[0.0, 0.1], [0.2, 0.3]], 0.5, np.zeros((1, 41))], ids=["2-d", "scalar", "row"])
+    def test_grid_that_is_not_1d_rejected_before_the_scan(self, monkeypatch, factory, times):
+        plant = factory()
+        plant.prepare(PreparationIndex.PSI_1)
+        monkeypatch.setattr(type(plant), "rabi_scan", lambda *args: pytest.fail("rabi_scan was called"))
+        with pytest.raises(ContractError, match="1-d"):
+            run_rabi_scan(plant, "x", times)
+
+    def test_scan_clamp_is_np_clip(self, monkeypatch):
+        # the clamp to [0, 1] keeps np.clip's bits: NaN passes, -0.0 stays -0.0
+        raw = np.array([math.nan, -0.0, 0.0, -1e-300, 0.5, 1.0 + 1e-15, -math.inf, math.inf] * 6)
+        monkeypatch.setattr(autocal.plant, "_rotated_population", lambda *args: raw.copy())
+        plant = make_plant()
+        plant.prepare(PreparationIndex.PSI_1)
+        assert plant.rabi_scan("x", np.linspace(0.0, 1.0, raw.size)).tobytes() == np.clip(raw, 0.0, 1.0).tobytes()
+
     def test_rejected_grid_is_rejected_again(self):
         plant = make_plant()
         plant.prepare(PreparationIndex.PSI_1)
@@ -527,6 +544,14 @@ def test_default_rabi_times_span():
     assert times.size == 41
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0)
+
+
+def test_default_rabi_times_is_one_read_only_grid():
+    # every evaluation scans on it, so it is built once per frequency and shared
+    times = default_rabi_times(1.0)
+    assert default_rabi_times(1.0) is times
+    assert not times.flags.writeable
+    assert times.tobytes() == np.linspace(0.0, 2.0, 41).tobytes()
 
 
 def test_config_validation():

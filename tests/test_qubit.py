@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import autocal.qubit
 from autocal.qubit import (
     _cayley_klein,
     _su2,
@@ -15,6 +16,7 @@ from autocal.qubit import (
     PulseWaveform,
     SIGMA_X,
     clip_amplitudes,
+    driven_propagator,
     evolve_density,
     pauli_rotation_propagator,
     population,
@@ -276,13 +278,24 @@ class TestPulseWaveform:
         assert copy.x.tobytes() == pulse.x.tobytes() and copy.y.tobytes() == pulse.y.tobytes()
         assert not copy.x.flags.writeable and not copy.y.flags.writeable
 
-    def test_scaled_is_the_reclipped_drive(self):
+    def test_drive_chain_propagates_the_reclipped_channels(self, monkeypatch):
         pulse = PulseWaveform(1.0, np.array([0.5, 0.2, -0.6]), np.array([0.3, 0.1, -0.1]))
-        scaled = pulse.scaled(1.5)
+        params = PlantParams(1.0, 0.2, 1.0)
+        propagated = []
+
+        def recording(waveform, plant_params, channels=None):
+            propagated.append((waveform, channels))
+            return total_propagator(waveform, plant_params, channels)
+
+        monkeypatch.setattr(autocal.qubit, "total_propagator", recording)
+        u = driven_propagator(pulse, params, 1.5)
+        ((driven, (driven_x, driven_y)),) = propagated
         x, y = clip_amplitudes(1.5 * pulse.x, 1.5 * pulse.y)
-        assert scaled.duration == pulse.duration
-        assert np.array_equal(scaled.x, x) and np.array_equal(scaled.y, y)
-        assert np.max(np.abs(scaled.x + scaled.y)) == 1.0
+        assert driven.duration == pulse.duration
+        assert np.array_equal(driven_x, x) and np.array_equal(driven_y, y)
+        assert np.max(np.abs(driven_x + driven_y)) == 1.0
+        # the same unitary as a pulse built from the re-clipped channels
+        assert u.tobytes() == total_propagator(PulseWaveform(1.0, x, y), params).tobytes()
 
 
 class TestEvolveDensity:

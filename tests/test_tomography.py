@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import autocal.qubit
 import autocal.tomography
-from autocal.dcrab import evaluate_pulse_open_loop
+from autocal.dcrab import DcrabLedger, assemble_pulse, draw_basis, evaluate_pulse_open_loop
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig, default_rabi_times, run_rabi_scan
 from autocal.qubit import (
     ContractError,
@@ -710,6 +710,21 @@ class TestPropagatorReuse:
         reused, fresh = SimPlant(params, config), FreshCopyPlant(params, config)
         assert gate_fom(reused, pulse, GATE_G) == gate_fom(fresh, pulse, GATE_G)
         assert reused._rng.bit_generator.state == fresh._rng.bit_generator.state
+
+    @pytest.mark.parametrize("gate", [False, True], ids=["state-transfer", "gate"])
+    def test_evaluation_builds_no_pulse(self, monkeypatch, gate):
+        # the drive chain hands its scaled, re-clipped channels on as arrays, not as a second PulseWaveform
+        rng = np.random.default_rng(2)
+        ledger = DcrabLedger(duration=0.25, n_t=300)
+        ledger.active = draw_basis(1, 0.25, rng)
+        pulse = assemble_pulse(ledger, rng.uniform(-2.0, 2.0, 4))
+        built = []
+        original = PulseWaveform.__post_init__
+        monkeypatch.setattr(PulseWaveform, "__post_init__", lambda self: built.append(original(self)))
+        plant = make_plant(duration=0.25, amplitude_scale=1.1)
+        estimate = gate_fom(plant, pulse, GATE_G, omega=OMEGA) if gate else state_transfer_fom(plant, pulse, OMEGA)
+        assert 0.0 <= estimate.value <= 1.0
+        assert built == []
 
 
 class FreshCopyPlant(SimPlant):

@@ -127,6 +127,16 @@ def report(rev: str, compared: int, differences: list[Difference]) -> int:
     return 1
 
 
+def extract(rev: str, dest: Path) -> bool:
+    """Write REV's committed tree into ``dest`` with ``git archive``; False, with the reason on stderr, if it cannot."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True)
+    if archive.returncode != 0:
+        print(f"cannot extract {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        return False
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -136,11 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         checkout, side_a, side_b = tmp / "rev", tmp / "a", tmp / "b"
         for directory in (checkout, side_a, side_b):
             directory.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True)
-        if archive.returncode != 0:
-            print(f"cannot extract {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        if not extract(rev, checkout):
             return 2
-        subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive.stdout, check=True)
         print(f"side A: {rev}")
         run_side(checkout / "src", side_a)
         print("side B: working tree")
