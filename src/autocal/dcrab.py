@@ -69,11 +69,15 @@ class BasisTerm:
     def n_components(self) -> int:
         return self.freqs_x.size
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "BasisTerm":
+    def checked_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """``coeffs`` as floats, checked to fit this term: length 4N."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (4 * self.n_components,):
             raise ContractError("coefficient vector must have length 4N")
-        return replace(self, coeffs=coeffs.copy())
+        return coeffs
+
+    def with_coeffs(self, coeffs: np.ndarray) -> "BasisTerm":
+        return replace(self, coeffs=self.checked_coeffs(coeffs).copy())
 
     def basis(self, times: np.ndarray) -> tuple[np.ndarray, ...]:
         """sin and cos of the X phases, then of the Y phases: four (N, n_t) arrays."""
@@ -139,9 +143,7 @@ class DcrabLedger:
                 gy += ty
             self._cache = (key, gx, gy, np.sin(math.pi * times / self.duration), self.active.basis(times))
         _, gx, gy, w, basis = self._cache
-        if active_coeffs.shape != (4 * self.active.n_components,):
-            raise ContractError("coefficient vector must have length 4N")
-        tx, ty = _weigh(active_coeffs, basis)
+        tx, ty = _weigh(self.active.checked_coeffs(active_coeffs), basis)
         return w * (gx + tx), w * (gy + ty)
 
 
@@ -153,10 +155,9 @@ def assemble_pulse(ledger: DcrabLedger, active_coeffs: np.ndarray) -> PulseWavef
     """
     if ledger.active is None:
         raise ContractError("ledger has no active term")
-    gx, gy = ledger.update_profiles(np.asarray(active_coeffs, dtype=float))
+    gx, gy = ledger.update_profiles(active_coeffs)
     # guess envelope is identically 1, so the channels are the windowed sums
-    x, y = clip_amplitudes(gx, gy)
-    return PulseWaveform(ledger.duration, x, y)
+    return PulseWaveform(ledger.duration, *clip_amplitudes(gx, gy))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,9 @@ def evaluate_pulse_open_loop(
     if _check_kind(fom) == "state-transfer":
         value = abs(u[1, 0]) ** 2
     else:
-        psis = [idx.state_vector() for idx in PreparationIndex]
-        value = float(np.mean([abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2 for psi in psis]))
+        probs = []
+        for idx in PreparationIndex:
+            psi = idx.state_vector()
+            probs.append(abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2)
+        value = float(np.mean(probs))
     return FidelityEstimate(value=value, sigma=0.0)

@@ -283,19 +283,22 @@ def evolve_density(rho0: DensityMatrix, pulse: PulseWaveform, params: PlantParam
     return apply_unitary(rho0, total_propagator(pulse, params))
 
 
-def total_propagator(pulse: PulseWaveform, params: PlantParams, channels: tuple | None = None) -> np.ndarray:
-    """Unitary implemented by ``pulse``, or by ``channels`` (x, y) on its grid: product of per-sample propagators.
-
-    Every propagation passes here, so the duration rule lives here: a pulse must last ``params.duration``.
-    """
-    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
-        raise ContractError("pulse duration does not match plant duration")
-    x, y = (pulse.x, pulse.y) if channels is None else channels
-    omega = TWO_PI * params.rabi_frequency
-    alpha, beta = _cayley_klein(omega * x, omega * y, TWO_PI * params.detuning, pulse.dt)
-    return _su2(*_ck_product(alpha, beta))
+def total_propagator(pulse: PulseWaveform, params: PlantParams) -> np.ndarray:
+    """Unitary implemented by ``pulse``: time-ordered product of per-sample propagators."""
+    return _channel_propagator(pulse, params, pulse.x, pulse.y)
 
 
 def driven_propagator(pulse: PulseWaveform, params: PlantParams, gain: float) -> np.ndarray:
     """Unitary of ``pulse`` out of a drive chain of amplitude ``gain``: both channels scaled, then re-clipped."""
-    return total_propagator(pulse, params, clip_amplitudes(gain * pulse.x, gain * pulse.y))
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ContractError("amplitude_scale must be positive and finite")
+    return _channel_propagator(pulse, params, *clip_amplitudes(gain * pulse.x, gain * pulse.y))
+
+
+def _channel_propagator(pulse: PulseWaveform, params: PlantParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unitary of channels (x, y) on ``pulse``'s grid; every propagation passes here, so the duration rule does."""
+    if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
+        raise ContractError("pulse duration does not match plant duration")
+    omega = TWO_PI * params.rabi_frequency
+    alpha, beta = _cayley_klein(omega * x, omega * y, TWO_PI * params.detuning, pulse.dt)
+    return _su2(*_ck_product(alpha, beta))

@@ -393,8 +393,9 @@ def gate_fom(
     estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), omega)
     ideals = (gate @ idx.state_vector() for idx in PreparationIndex)
     values = [float(np.real(phi.conj() @ est.rho.matrix @ phi)) for phi, est in zip(ideals, estimates)]
-    # left-to-right sums, as np.mean adds four values
-    return FidelityEstimate(value=sum(values) / 4, sigma=sum(est.sigma for est in estimates) / 4)
+    # np.mean's reduction and division, without its wrapper; Python's sum() rounds differently from 3.12 on
+    sigma = np.add.reduce(np.array([est.sigma for est in estimates])) / 4
+    return FidelityEstimate(value=float(np.add.reduce(np.array(values)) / 4), sigma=float(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +449,7 @@ def chi_matrix_as_published(rho_finals) -> ChiMatrix:
     ``chi_construction_discrepancy``); ``chi_from_final_states`` is the
     corrected construction used everywhere else.
     """
-    mats = [
-        _SWAP @ np.asarray(getattr(r, "matrix", r), dtype=complex) @ _SWAP
-        for r in rho_finals
-    ]
+    mats = [_SWAP @ np.asarray(getattr(r, "matrix", r), dtype=complex) @ _SWAP for r in rho_finals]
     return _unmixed_chi(mats, _M_PUBLISHED_INV, _BETA_PUBLISHED)
 
 
@@ -477,10 +475,7 @@ def analytic_chi_of_unitary(u: np.ndarray) -> ChiMatrix:
     return ChiMatrix(np.outer(alpha, alpha.conj()))
 
 
-def process_tomography(
-    plant: PlantInterface,
-    pulse: PulseWaveform,
-) -> ChiMatrix:
+def process_tomography(plant: PlantInterface, pulse: PulseWaveform) -> ChiMatrix:
     """Full process tomography of ``pulse``: calibrate the plant's scan drive, then fit all four preparations at it."""
     estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), omega=calibrate_scan(plant).omega)
     return chi_from_final_states([est.rho for est in estimates])

@@ -20,7 +20,7 @@ from autocal.dcrab import (
     run_dcrab,
 )
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
-from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes, total_propagator
+from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes
 from autocal.tomography import FidelityEstimate, FitFailure
 
 
@@ -817,6 +817,13 @@ class TestOpenLoopEvaluation:
         with pytest.raises(ContractError, match="pulse duration does not match plant duration"):
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 0.75), fom=fom)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_amplitude_scale_rejected_unless_positive_and_finite(self, scale):
+        # as SimPlantConfig does: an infinite gain would clip to inf / inf and score NaN
+        pulse = PulseWaveform.constant(0.5, 0.0, 1.0)
+        with pytest.raises(ContractError, match="amplitude_scale must be positive and finite"):
+            evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), amplitude_scale=scale)
+
     def test_unknown_kind_rejected(self):
         pulse = PulseWaveform.zero(1.0)
         with pytest.raises(ContractError):
@@ -836,13 +843,14 @@ class TestOpenLoopEvaluation:
         pulse = assemble_pulse(ledger, rng.uniform(-3.0, 3.0, 4))
         assert np.max(np.abs(pulse.x + pulse.y)) > 1.0
         propagated = []
+        channel_propagator = autocal.qubit._channel_propagator
 
-        def recording(waveform, plant_params, channels=None):
-            propagated.append(channels)
-            return total_propagator(waveform, plant_params, channels)
+        def recording(waveform, plant_params, x, y):
+            propagated.append((x, y))
+            return channel_propagator(waveform, plant_params, x, y)
 
-        # the drive chain of both hands its channels to total_propagator
-        monkeypatch.setattr(autocal.qubit, "total_propagator", recording)
+        # the drive chain of both hands its channels to one propagation
+        monkeypatch.setattr(autocal.qubit, "_channel_propagator", recording)
         plant = SimPlant(params, SimPlantConfig())
         plant.prepare(PreparationIndex.PSI_1)
         plant.apply(pulse)

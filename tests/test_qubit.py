@@ -283,13 +283,15 @@ class TestPulseWaveform:
         params = PlantParams(1.0, 0.2, 1.0)
         propagated = []
 
-        def recording(waveform, plant_params, channels=None):
-            propagated.append((waveform, channels))
-            return total_propagator(waveform, plant_params, channels)
+        channel_propagator = autocal.qubit._channel_propagator
 
-        monkeypatch.setattr(autocal.qubit, "total_propagator", recording)
+        def recording(waveform, plant_params, x, y):
+            propagated.append((waveform, x, y))
+            return channel_propagator(waveform, plant_params, x, y)
+
+        monkeypatch.setattr(autocal.qubit, "_channel_propagator", recording)
         u = driven_propagator(pulse, params, 1.5)
-        ((driven, (driven_x, driven_y)),) = propagated
+        ((driven, driven_x, driven_y),) = propagated
         x, y = clip_amplitudes(1.5 * pulse.x, 1.5 * pulse.y)
         assert driven.duration == pulse.duration
         assert np.array_equal(driven_x, x) and np.array_equal(driven_y, y)

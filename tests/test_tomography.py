@@ -662,8 +662,8 @@ class TestProcessTomography:
 
 
 def count_propagations(monkeypatch):
-    """Count ``total_propagator`` calls, wherever an autocal module holds it."""
-    original = autocal.qubit.total_propagator
+    """Count propagations: calls of ``qubit._channel_propagator``, which every propagation passes through."""
+    original = autocal.qubit._channel_propagator
     calls = []
 
     def counted(*args, **kwargs):
