@@ -270,8 +270,8 @@ def nelder_mead(
 # Figures of merit and the closed loop
 
 
-def make_fom(kind: str, omega: float | None = None):
-    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate, fitting at ``omega`` if given.
+def make_fom(kind: str, omega: float):
+    """Figure-of-merit callable (plant, pulse) -> FidelityEstimate, fitting at ``omega``.
 
     The FoM function is looked up in this module at each call and given ``omega``
     as a keyword, so a replacement patched onto the module attribute sees every evaluation.

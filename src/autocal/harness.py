@@ -32,6 +32,7 @@ from .tomography import (
 )
 
 DEFAULT_RABI_FREQUENCY = 1.0  # MHz; dynamics depend only on the relative quantities
+COMPARISON_T_REL = 1.5  # T / T_pi of the scan row whose pulses the open-loop comparison reads
 
 
 def derived_seed(master: int, *key: int) -> int:
@@ -374,13 +375,12 @@ def run_openloop_comparison(
     detuning_offset_rel: float,
     config: DcrabConfig | None = None,
     runs: int = 5,
-    t_rel: float = 1.5,
     out_path: Path | str | None = None,
 ) -> list[dict]:
     """Compare nominal-optimized pulses on a perturbed plant to closed-loop runs.
 
     Loads the best pulse per detuning from a completed nominal scan
-    (``t_rel`` row), evaluates it open-loop under the perturbation, and runs
+    (``COMPARISON_T_REL`` row), evaluates it open-loop under the perturbation, and runs
     fresh closed-loop optimizations against the perturbed plant, seeded from
     ``config.seed``.  With ``out_path``, the table goes there and its
     manifest to ``<out_path>.manifest.json``.
@@ -402,11 +402,11 @@ def run_openloop_comparison(
     config = config or DcrabConfig()
     rows = []
     for j, det_rel in enumerate(det_rels):
-        pulse_path = scan_dir / f"pulse_t{t_rel:g}_d{det_rel:g}.csv"
+        pulse_path = scan_dir / f"pulse_t{COMPARISON_T_REL:g}_d{det_rel:g}.csv"
         if not pulse_path.exists():
             raise FileNotFoundError(f"missing scan pulse {pulse_path}")
         pulse = load_pulse_csv(pulse_path)
-        nominal = params_from_relative(t_rel, det_rel, rabi)
+        nominal = params_from_relative(COMPARISON_T_REL, det_rel, rabi)
         # the perturbed plant: the open-loop model and every closed-loop run see this one truth
         truth = SimPlantConfig(detuning_offset=detuning_offset_rel * rabi, amplitude_scale=amplitude_scale)
         open_loop = evaluate_pulse_open_loop(
@@ -437,7 +437,7 @@ def run_openloop_comparison(
             amp_scale=amplitude_scale,
             detuning_offset_rel=detuning_offset_rel,
             runs=runs,
-            t_rel=t_rel,
+            t_rel=COMPARISON_T_REL,
             dcrab=asdict(config),
         )
     return rows

@@ -59,6 +59,9 @@ def pauli_rotation_propagator(hx: float, hy: float, hz: float, dt: float) -> np.
     _require_finite(hx, hy, hz, dt)
     if dt <= 0.0:
         raise ContractError("dt must be positive")
+    norm_sq = hx * hx + hy * hy + hz * hz  # as _cayley_klein forms it, which turns an overflow into NaN
+    if not (math.isfinite(norm_sq) and math.isfinite(math.sqrt(norm_sq) * dt)):
+        raise ContractError("generator (hx, hy, hz) too large: |h|^2 and |h| dt must be finite")
     return _su2(*_cayley_klein(np.array([hx]), np.array([hy]), np.array([hz]), dt))[0]
 
 
@@ -124,6 +127,8 @@ class PlantParams:
             raise ContractError("rabi_frequency must lie in (0, 10] MHz")
         if self.duration <= 0.0:
             raise ContractError("duration must be positive")
+        if not math.isfinite((TWO_PI * self.detuning) * (TWO_PI * self.detuning)):
+            raise ContractError("detuning too large: (2 pi detuning)^2 must be finite")
 
 
 @dataclass(frozen=True)
@@ -173,10 +178,6 @@ class PulseWaveform:
     @staticmethod
     def constant(x: float, y: float, duration: float, n_t: int = 1000) -> "PulseWaveform":
         return PulseWaveform(duration, np.full(n_t, float(x)), np.full(n_t, float(y)))
-
-    @staticmethod
-    def zero(duration: float, n_t: int = 1000) -> "PulseWaveform":
-        return PulseWaveform.constant(0.0, 0.0, duration, n_t)
 
     def __reduce__(self):
         # rebuild through the constructor, so an unpickled pulse has read-only channels too
@@ -229,14 +230,6 @@ class DensityMatrix:
     @property
     def a(self) -> float:
         return self.matrix[1, 1].real
-
-    @property
-    def b(self) -> float:
-        return self.matrix[0, 1].real
-
-    @property
-    def c(self) -> float:
-        return self.matrix[0, 1].imag
 
     @staticmethod
     def from_state_vector(psi: np.ndarray) -> "DensityMatrix":

@@ -64,8 +64,6 @@ class StateEstimate:
     """Pure-state projection of a Rabi fit."""
 
     rho: DensityMatrix
-    xi: float
-    nu: float
     sigma: float
 
 
@@ -274,27 +272,21 @@ def mle_project(fit: RabiFit) -> StateEstimate:
     s = (a + d)/2, the residual is the sum of squares
     2 (s - 1/2)^2 + (|r| - 1)^2 / 2 = ((a + d - 1)^2 + (|r| - 1)^2) / 2,
     which does not cancel the way ||M||^2 - 2 lambda_max + 1 does near a
-    pure fit.  The angles follow from
-    Bloch(xi, nu) = (cos xi sin nu, -sin xi, cos xi cos nu) with
-    xi in [0, 2 pi), nu in [0, pi).  sigma = (1/4) sqrt(residual) measures
-    how far the fit is from a pure state; it is not a standard error of the
-    entries or of a fidelity read from them.
+    pure fit.  sigma = (1/4) sqrt(residual) measures how far the fit is
+    from a pure state; it is not a standard error of the entries or of a
+    fidelity read from them.
     """
     rx, ry, rz = 2.0 * fit.b, -2.0 * fit.c, fit.d - fit.a
     # u is r scaled exactly by a power of two, so a subnormal r keeps its direction
     scale = math.ldexp(1.0, math.frexp(max(abs(rx), abs(ry), abs(rz)))[1])
     ux, uy, uz = rx / scale, ry / scale, rz / scale
     length = math.hypot(ux, uy, uz)
-    xi = nu = 0.0
     nx, ny, nz = 0.0, 0.0, 1.0
     if length > 0.0:
-        nu = math.atan2(ux, uz) % math.pi
-        cos_xi = ux * math.sin(nu) + uz * math.cos(nu)
-        xi = math.atan2(-uy, cos_xi) % TWO_PI
         nx, ny, nz = ux / length, uy / length, uz / length
     rho = DensityMatrix.from_entries(0.5 * (1.0 - nz), 0.5 * nx, -0.5 * ny, 0.5 * (1.0 + nz))
     residual = 0.5 * ((fit.a + fit.d - 1.0) ** 2 + (scale * length - 1.0) ** 2)
-    return StateEstimate(rho=rho, xi=xi, nu=nu, sigma=0.25 * math.sqrt(residual))
+    return StateEstimate(rho=rho, sigma=0.25 * math.sqrt(residual))
 
 
 # ---------------------------------------------------------------------------

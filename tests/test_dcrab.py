@@ -710,6 +710,21 @@ class TestRunDcrab:
                 escapes += 1
         assert escapes >= 45
 
+    def test_simplex_diameter_ends_a_long_search(self, monkeypatch):
+        # at a budget of 300 the simplex shrinks below SIMPLEX_TOL before the
+        # budget or the target ends the search, so a wider tolerance ends it sooner
+        config = DcrabConfig(seed=0, superiterations=1, max_evals_per_superiteration=300, target_fidelity=1.0)
+
+        def evaluations():
+            result = run_dcrab(make_plant(det_rel=0.5), "state-transfer", config)
+            assert len(result.records) < config.max_evals_per_superiteration
+            assert result.best_fidelity.value < config.target_fidelity
+            return len(result.records)
+
+        default = evaluations()
+        monkeypatch.setattr(autocal.dcrab, "SIMPLEX_TOL", 0.02)
+        assert evaluations() < default
+
 
 class ScanCountingPlant(SimPlant):
     """Counts scans; a scan drive at ``rate`` times the nominal Rabi frequency."""
@@ -825,13 +840,13 @@ class TestOpenLoopEvaluation:
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), amplitude_scale=scale)
 
     def test_unknown_kind_rejected(self):
-        pulse = PulseWaveform.zero(1.0)
+        pulse = PulseWaveform.constant(0.0, 0.0, 1.0)
         with pytest.raises(ContractError):
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), fom="energy")
 
     def test_unknown_closed_loop_kind_rejected(self):
         with pytest.raises(ContractError, match="unknown figure-of-merit kind 'energy'"):
-            make_fom("energy")
+            make_fom("energy", 1.0)
 
     def test_model_and_plant_propagate_the_same_channels(self, monkeypatch):
         # clipping leaves some samples one ulp above |X + Y| = 1; at unit gain

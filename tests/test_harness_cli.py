@@ -23,6 +23,7 @@ from autocal.cli import build_parser, main
 from autocal.dcrab import DcrabConfig, evaluate_pulse_open_loop
 from autocal.dcrab import run_dcrab
 from autocal.harness import (
+    COMPARISON_T_REL,
     ScanSpec,
     derived_seed,
     load_pulse_csv,
@@ -290,7 +291,7 @@ class TestOpenLoopComparison:
 
     def test_missing_scan_pulse_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0, 0.5]}))
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), tmp_path / "pulse_t1.5_d0.csv")
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), tmp_path / "pulse_t1.5_d0.csv")
         with pytest.raises(FileNotFoundError, match="pulse_t1.5_d0.5.csv"):
             run_openloop_comparison(tmp_path, 1.2, 0.5, config=DcrabConfig(**FAST), runs=1)
 
@@ -451,6 +452,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"configuration error: unknown config section [DEFAULT] in {cfg}\n"
 
+    def test_overflowing_detuning_is_one_configuration_error(self, tmp_path, capsys):
+        # rejected where it enters, before a propagation could warn about overflow or NaN
+        code = main(["invert", "--detuning-rel", "1e300", "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: detuning too large: (2 pi detuning)^2 must be finite\n"
+        assert not (tmp_path / "inv").exists()
+
     def test_compare_openloop_flow(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(
@@ -492,17 +500,17 @@ class TestCli:
             detuning_offset_rel=manifest["detuning_offset_rel"],
             config=DcrabConfig(**manifest["dcrab"]),
             runs=manifest["runs"],
-            t_rel=manifest["t_rel"],
             out_path=again,
         )
         assert again.read_bytes() == table.read_bytes()
+        assert manifest["t_rel"] == COMPARISON_T_REL
 
     def test_compare_openloop_zero_rabi_frequency_is_config_error(self, tmp_path):
         # a bad manifest is a bad input file (exit 2), not a runtime failure
         scan = tmp_path / "scan"
         scan.mkdir()
         (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 0, "det_rels": [0.0]}))
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), scan / "pulse_t1.5_d0.csv")
         code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
         assert code == 2
 
@@ -520,7 +528,7 @@ class TestCli:
         scan = tmp_path / "scan"
         scan.mkdir()
         (scan / "manifest.json").write_text(text)
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), scan / "pulse_t1.5_d0.csv")
         code = main(["compare-openloop", "--scan", str(scan), "--runs", "1"] + self.FAST_ARGS)
         assert code == 2
 
@@ -529,7 +537,7 @@ class TestCli:
         scan = tmp_path / "scan"
         scan.mkdir()
         (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), scan / "pulse_t1.5_d0.csv")
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), scan / "pulse_t1.5_d0.csv")
         table = tmp_path / "compare.csv"
         code = main(
             ["compare-openloop", "--scan", str(scan), "--runs", "0", "--out", str(table)] + self.FAST_ARGS
@@ -573,7 +581,7 @@ class TestCli:
         scan.mkdir()
         (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
         pulse = scan / "pulse_t1.5_d0.csv"
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), pulse)
         extra = {
             "scan": ["--runs", "1"] + self.FAST_ARGS,
             "compare-openloop": ["--scan", str(scan), "--runs", "1"] + self.FAST_ARGS,
@@ -587,7 +595,7 @@ class TestCli:
     def test_zero_shots_is_config_error(self, tmp_path, capsys, command):
         # noiseless runs took any shot count and recorded it in their manifests
         pulse = tmp_path / "pulse.csv"
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), pulse)
         extra = ["--pulse", str(pulse)] if command == "qpt" else self.FAST_ARGS
         code = main([command, "--shots", "0", "--out", str(tmp_path / "out")] + extra)
         assert code == 2
@@ -599,7 +607,7 @@ class TestCli:
     def test_shots_beyond_64_bits_is_config_error(self, tmp_path, capsys, command, noise):
         # numpy's binomial draws take a C long: 2**63 shots once failed at the first noisy scan, exit 3
         pulse = tmp_path / "pulse.csv"
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), pulse)
         extra = noise + (["--pulse", str(pulse)] if command == "qpt" else self.FAST_ARGS)
         code = main([command, "--shots", str(2**63), "--out", str(tmp_path / "out")] + extra)
         assert code == 2
@@ -673,7 +681,7 @@ class TestCli:
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
         pulse = tmp_path / "pulse.csv"
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), pulse)
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("[scan]\nt_rels = 1.5\ndet_rels = 0.0\nruns = 1\n")
         extra = {
@@ -722,7 +730,7 @@ class TestCli:
         scan.mkdir()
         (scan / "manifest.json").write_text(json.dumps({"rabi_frequency": 1.0, "det_rels": [0.0]}))
         pulse = scan / "pulse_t1.5_d0.csv"
-        save_pulse_csv(PulseWaveform.zero(0.75, 200), pulse)
+        save_pulse_csv(PulseWaveform.constant(0.0, 0.0, 0.75, 200), pulse)
         before = sorted(tmp_path.rglob("*"))
         extra = {
             "compare-openloop": ["--scan", str(scan), "--runs", "1"] + self.FAST_ARGS,

@@ -110,7 +110,7 @@ class TestApply:
         plant = make_plant()
         plant.prepare(PreparationIndex.PSI_3)
         before = plant.current_state().matrix.copy()
-        plant.apply(PulseWaveform.zero(0.75))
+        plant.apply(PulseWaveform.constant(0.0, 0.0, 0.75))
         assert np.allclose(plant.current_state().matrix, before, atol=1e-12)
 
     def test_rectangular_pi_pulse_inverts(self):
@@ -158,7 +158,7 @@ class TestApply:
     def test_apply_without_prepare_rejected(self):
         plant = make_plant()
         with pytest.raises(ContractError):
-            plant.apply(PulseWaveform.zero(0.75))
+            plant.apply(PulseWaveform.constant(0.0, 0.0, 0.75))
 
     def test_current_state_before_prepare_rejected(self):
         with pytest.raises(ContractError, match="plant has no prepared state"):
@@ -167,7 +167,7 @@ class TestApply:
     def test_duration_mismatch_rejected_on_every_apply(self):
         plant = make_plant()
         plant.prepare(PreparationIndex.PSI_1)
-        pulse = PulseWaveform.zero(0.5)
+        pulse = PulseWaveform.constant(0.0, 0.0, 0.5)
         for _ in range(2):
             with pytest.raises(ContractError):
                 plant.apply(pulse)

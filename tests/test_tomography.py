@@ -359,8 +359,6 @@ class TestGradientRefine:
 class TestMleProject:
     def test_ground_state_fixed_point(self):
         est = mle_project(RabiFit(a=0.0, b=0.0, c=0.0, d=1.0, omega=1.0, residual=0.0))
-        assert est.xi == pytest.approx(0.0, abs=1e-9)
-        assert est.nu == pytest.approx(0.0, abs=1e-9)
         assert est.sigma == pytest.approx(0.0, abs=1e-9)
 
     def test_excited_state(self):
@@ -384,7 +382,7 @@ class TestMleProject:
         est = mle_project(fit)
         assert est.sigma == pytest.approx(0.25 * math.sqrt(0.5), abs=1e-9)
         est2 = mle_project(fit)
-        assert (est.xi, est.nu) == (est2.xi, est2.nu)
+        assert np.array_equal(est.rho.matrix, est2.rho.matrix)
 
     def test_matches_brute_force_grid(self):
         # returned residual never exceeds a 1e6-point exhaustive torus scan
@@ -428,21 +426,22 @@ class TestClosedFormProjection:
         est = mle_project(RabiFit(a=a, b=b, c=c, d=d, omega=1.0, residual=0.0))
         expected = np.sum(np.abs(m) ** 2) - 2.0 * lam_max + 1.0
         assert (4.0 * est.sigma) ** 2 == pytest.approx(expected, abs=1e-12)
-        # rho is the pure state the returned angles name
-        p00, p01, p11 = _pure_entries(est.xi, est.nu)
-        angles_rho = np.array([[p00, p01], [np.conj(p01), p11]])
-        assert np.max(np.abs(est.rho.matrix - angles_rho)) <= 1e-15
+        # rho is the pure state at M's top eigenvalue
+        rho = est.rho.matrix
+        assert np.max(np.abs(rho @ rho - rho)) <= 1e-12
+        assert np.trace(m @ rho).real == pytest.approx(lam_max, abs=1e-12)
 
-    def test_angles_match_the_unscaled_bloch_vector_formula(self):
-        # the power-of-two rescaling of r leaves xi and nu bit for bit as the
-        # angle formula applied to r itself gives them
+    def test_rho_matches_the_unscaled_bloch_vector_formula(self):
+        # the power-of-two rescaling of r leaves rho bit for bit as the
+        # projector formula applied to r itself gives it
         rng = np.random.default_rng(41)
         for a, b, c, d in rng.uniform([-0.2, -0.7, -0.7, -0.2], [1.2, 0.7, 0.7, 1.2], (2000, 4)):
             rx, ry, rz = 2.0 * b, -2.0 * c, d - a
-            nu = math.atan2(rx, rz) % math.pi
-            xi = math.atan2(-ry, rx * math.sin(nu) + rz * math.cos(nu)) % (2.0 * math.pi)
+            length = math.hypot(rx, ry, rz)
+            nx, ny, nz = rx / length, ry / length, rz / length
+            expected = DensityMatrix.from_entries(0.5 * (1.0 - nz), 0.5 * nx, -0.5 * ny, 0.5 * (1.0 + nz))
             est = mle_project(RabiFit(a=a, b=b, c=c, d=d, omega=1.0, residual=0.0))
-            assert (est.xi, est.nu) == (xi, nu)
+            assert np.array_equal(est.rho.matrix, expected.matrix)
 
     def test_subnormal_bloch_vector_keeps_its_direction(self):
         # r = (2, -2, 1) * 5e-324 is exact; unscaled, rx sin(nu) + rz cos(nu)
@@ -451,8 +450,6 @@ class TestClosedFormProjection:
         n = np.array([2.0, -2.0, 1.0]) / 3.0
         expected = 0.5 * np.array([[1 + n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], 1 - n[2]]])
         assert np.max(np.abs(est.rho.matrix - expected)) <= 1e-15
-        p00, p01, p11 = _pure_entries(est.xi, est.nu)
-        assert np.max(np.abs(np.array([[p00, p01], [np.conj(p01), p11]]) - expected)) <= 1e-15
 
 
 class TestStateTomography:
@@ -468,7 +465,7 @@ class TestStateTomography:
         est = state_tomography(plant)
         truth = PreparationIndex.PSI_3.density_matrix()
         assert est.rho.trace_distance(truth) < 1e-6
-        assert abs(est.rho.c) == pytest.approx(0.5, abs=1e-6)
+        assert abs(est.rho.matrix[0, 1].imag) == pytest.approx(0.5, abs=1e-6)
 
     def test_random_pure_states_noiseless(self):
         rng = np.random.default_rng(31)
@@ -500,7 +497,7 @@ class TestStateTransferFom:
 
     def test_zero_pulse(self):
         plant = make_plant(duration=0.5)
-        fom = state_transfer_fom(plant, PulseWaveform.zero(0.5))
+        fom = state_transfer_fom(plant, PulseWaveform.constant(0.0, 0.0, 0.5))
         assert fom.value == pytest.approx(0.0, abs=1e-6)
 
     def test_detuned_peak_transfer(self):
@@ -540,7 +537,7 @@ class TestGateFom:
         )
         assert oracle == pytest.approx(0.625, abs=1e-12)
         plant = make_plant(duration=0.25)
-        fom = gate_fom(plant, PulseWaveform.zero(0.25), GATE_G)
+        fom = gate_fom(plant, PulseWaveform.constant(0.0, 0.0, 0.25), GATE_G)
         assert fom.value == pytest.approx(0.625, abs=1e-6)
 
     def test_global_phase_invariance(self):
@@ -649,7 +646,7 @@ class TestProcessTomography:
 
     def test_identity_pulse(self):
         plant = make_plant(duration=0.25)
-        chi = process_tomography(plant, PulseWaveform.zero(0.25)).matrix
+        chi = process_tomography(plant, PulseWaveform.constant(0.0, 0.0, 0.25)).matrix
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         assert np.max(np.abs(chi - expected)) < 1e-6
