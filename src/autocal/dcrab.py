@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class BasisTerm:
         phase_y = np.outer(self.freqs_y, times)
         return np.sin(phase_x), np.cos(phase_x), np.sin(phase_y), np.cos(phase_y)
 
-    def channel_profiles(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unwindowed sum over components for the X and Y channels."""
-        return _weigh(self.coeffs, self.basis(times))
-
 
 def _weigh(coeffs: np.ndarray, basis: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """X and Y profiles: each coefficient block weighs its rows of ``BasisTerm.basis``."""
@@ -113,7 +109,6 @@ def draw_basis(n_components: int, duration: float, rng: np.random.Generator) -> 
     return BasisTerm(freqs_x=freqs(), freqs_y=freqs(), coeffs=np.zeros(4 * n_components))
 
 
-@dataclass
 class DcrabLedger:
     """Frozen super-iteration terms plus the active one, on ``n_t`` samples over ``duration``.
 
@@ -122,29 +117,30 @@ class DcrabLedger:
     w(t) = sin(pi t / T) so it vanishes identically at t = 0 and t = T.
     """
 
-    duration: float
-    n_t: int
-    frozen: list[BasisTerm] = field(default_factory=list)
-    active: BasisTerm | None = None
-    # what the terms and the grid fix, built once per super-iteration:
-    # (key: the terms themselves, duration and n_t; frozen gx, frozen gy, window, active basis)
-    _cache: tuple = field(default=(None,), init=False, repr=False, compare=False)
+    def __init__(self, duration: float, n_t: int) -> None:
+        self.duration = duration
+        self.times = np.arange(n_t) * (duration / n_t)
+        self.window = np.sin(math.pi * self.times / duration)
+        self.frozen: list[BasisTerm] = []
+        self.active: BasisTerm | None = None
+        self._frozen_sums = np.zeros((2, n_t))  # unwindowed X and Y profiles of the frozen terms
+
+    def activate(self, term: BasisTerm) -> None:
+        """Make ``term`` the one that the coefficients of the next evaluations weigh."""
+        self.active = term
+        self._basis = term.basis(self.times)
+
+    def freeze(self, coeffs: np.ndarray) -> None:
+        """Fix the active term at ``coeffs``; a frozen term never changes, so its profile is summed once, here."""
+        term = self.active.with_coeffs(coeffs)
+        self._frozen_sums += _weigh(term.coeffs, self._basis)
+        self.frozen.append(term)
+        self.active = None
 
     def update_profiles(self, active_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Windowed update g per channel: frozen terms plus the active term at ``active_coeffs``."""
-        key = (*self.frozen, self.active, (self.duration, self.n_t))
-        if self._cache[0] != key:
-            times = np.arange(self.n_t) * (self.duration / self.n_t)
-            gx = np.zeros_like(times)
-            gy = np.zeros_like(times)
-            for term in self.frozen:
-                tx, ty = term.channel_profiles(times)
-                gx += tx
-                gy += ty
-            self._cache = (key, gx, gy, np.sin(math.pi * times / self.duration), self.active.basis(times))
-        _, gx, gy, w, basis = self._cache
-        tx, ty = _weigh(self.active.checked_coeffs(active_coeffs), basis)
-        return w * (gx + tx), w * (gy + ty)
+        tx, ty = _weigh(self.active.checked_coeffs(active_coeffs), self._basis)
+        return self.window * (self._frozen_sums[0] + tx), self.window * (self._frozen_sums[1] + ty)
 
 
 def assemble_pulse(ledger: DcrabLedger, active_coeffs: np.ndarray) -> PulseWaveform:
@@ -291,7 +287,7 @@ def _check_kind(kind: str) -> str:
 class EvaluationRecord:
     superiteration: int
     coefficients: np.ndarray
-    value: float
+    fom: float
     sigma: float
     running_best: float
 
@@ -308,7 +304,7 @@ class OptimizationResult:
     @property
     def fom_trace(self) -> np.ndarray:
         """Raw per-evaluation measured figure of merit (the 'red' trace)."""
-        return np.array([r.value for r in self.records])
+        return np.array([r.fom for r in self.records])
 
     @property
     def running_best_trace(self) -> np.ndarray:
@@ -365,7 +361,7 @@ def run_dcrab(
             EvaluationRecord(
                 superiteration=superiteration,
                 coefficients=np.asarray(coeffs, dtype=float).copy(),
-                value=estimate.value,
+                fom=estimate.value,
                 sigma=estimate.sigma,
                 running_best=best_estimate.value,
             )
@@ -373,7 +369,7 @@ def run_dcrab(
         return estimate.value
 
     for superiteration in range(config.superiterations):
-        ledger.active = draw_basis(config.n_components, ledger.duration, rng)
+        ledger.activate(draw_basis(config.n_components, ledger.duration, rng))
         nm = nelder_mead(
             objective,
             np.zeros(4 * config.n_components),
@@ -382,8 +378,7 @@ def run_dcrab(
             SIMPLEX_TOL,
             target=config.target_fidelity,
         )
-        ledger.frozen.append(ledger.active.with_coeffs(nm.best_x))
-        ledger.active = None
+        ledger.freeze(nm.best_x)
         if best_estimate is not None and best_estimate.value >= config.target_fidelity:
             break
 

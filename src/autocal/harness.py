@@ -111,21 +111,10 @@ def output_file(path: Path | str) -> Path:
 
 
 def write_trace_jsonl(result: OptimizationResult, path: Path | str) -> None:
+    """One row per evaluation: its index, then the ``EvaluationRecord`` fields in their order."""
     with open(path, "w") as fh:
         for index, rec in enumerate(result.records):
-            fh.write(
-                json.dumps(
-                    {
-                        "index": index,
-                        "superiteration": rec.superiteration,
-                        "coefficients": rec.coefficients.tolist(),
-                        "fom": rec.value,
-                        "sigma": rec.sigma,
-                        "running_best": rec.running_best,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"index": index, **vars(rec)}, default=np.ndarray.tolist) + "\n")
 
 
 def write_summary_json(result: OptimizationResult, path: Path | str, rabi_frequency: float) -> None:
@@ -140,17 +129,10 @@ def write_summary_json(result: OptimizationResult, path: Path | str, rabi_freque
         "n_failed_evaluations": len(result.failures),
         "scan_omega_rel": None if cal is None else cal.omega / rabi_frequency,
         "scan_calibration_rms": None if cal is None else cal.residual,
-        "frozen_terms": [
-            {
-                "freqs_x": term.freqs_x.tolist(),
-                "freqs_y": term.freqs_y.tolist(),
-                "coeffs": term.coeffs.tolist(),
-            }
-            for term in result.ledger.frozen
-        ],
+        "frozen_terms": [vars(term) for term in result.ledger.frozen],
     }
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, default=np.ndarray.tolist)
 
 
 def write_manifest(path: Path | str, **resolved) -> None:

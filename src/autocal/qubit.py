@@ -293,5 +293,11 @@ def _channel_propagator(pulse: PulseWaveform, params: PlantParams, x: np.ndarray
     if abs(pulse.duration - params.duration) > 1e-9 * max(1.0, params.duration):
         raise ContractError("pulse duration does not match plant duration")
     omega = TWO_PI * params.rabi_frequency
-    alpha, beta = _cayley_klein(omega * x, omega * y, TWO_PI * params.detuning, pulse.dt)
+    try:  # an overflowing |h|^2 at any sample raises here, before numpy could warn or return NaN
+        with np.errstate(over="raise"):
+            alpha, beta = _cayley_klein(omega * x, omega * y, TWO_PI * params.detuning, pulse.dt)
+    except FloatingPointError:
+        raise ContractError(
+            "pulse channels X, Y too large: (2 pi Omega X)^2 + (2 pi Omega Y)^2 + (2 pi Delta)^2 must be finite"
+        ) from None
     return _su2(*_ck_product(alpha, beta))

@@ -212,7 +212,7 @@ def test_criterion_9_property_suite(acceptance):
 
     by_si = {}
     for rec in result.records:
-        by_si.setdefault(rec.superiteration, []).append(rec.value)
+        by_si.setdefault(rec.superiteration, []).append(rec.fom)
     checks["super-iteration continuity"] = all(
         by_si[k][0] == max(by_si[k - 1]) for k in range(1, len(by_si))
     )
@@ -222,7 +222,7 @@ def test_criterion_9_property_suite(acceptance):
     constraint_ok = True
     for term in result.ledger.frozen:
         ledger_probe = type(result.ledger)(duration=params.duration, n_t=500)
-        ledger_probe.active = term
+        ledger_probe.activate(term)
         pulse = assemble_pulse(ledger_probe, rng.normal(size=4))
         constraint_ok &= bool(np.max(np.abs(pulse.x + pulse.y)) <= 1.0 + 1e-12)
     checks["amplitude constraint"] = constraint_ok

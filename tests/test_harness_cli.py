@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -113,6 +114,31 @@ class TestStateTransferDemo:
         params = params_from_relative(1.5, 0.0)
         reval = evaluate_pulse_open_loop(pulse, params)
         assert abs(reval.value - result.best_fidelity.value) < 1e-9
+
+    def test_trace_and_summary_rows_are_the_records_fields(self, tmp_path):
+        # a trace row is its index and then an EvaluationRecord's fields; a frozen term's entry is a BasisTerm's fields
+        result = run_state_transfer_demo(DcrabConfig(seed=0, **FAST), det_rel=0.5, t_rel=1.5, out_dir=tmp_path)
+        rows = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert len(rows) == len(result.records) > 0
+        for index, (row, rec) in enumerate(zip(rows, result.records)):
+            assert list(row) == ["index", "superiteration", "coefficients", "fom", "sigma", "running_best"]
+            assert row == {
+                "index": index,
+                "superiteration": rec.superiteration,
+                "coefficients": rec.coefficients.tolist(),
+                "fom": rec.fom,
+                "sigma": rec.sigma,
+                "running_best": rec.running_best,
+            }
+        terms = json.loads((tmp_path / "summary.json").read_text())["frozen_terms"]
+        assert len(terms) == len(result.ledger.frozen) > 0
+        for entry, term in zip(terms, result.ledger.frozen):
+            assert list(entry) == ["freqs_x", "freqs_y", "coeffs"]
+            assert entry == {
+                "freqs_x": term.freqs_x.tolist(),
+                "freqs_y": term.freqs_y.tolist(),
+                "coeffs": term.coeffs.tolist(),
+            }
 
     def test_manifest_reproduces_run(self, tmp_path):
         config = DcrabConfig(seed=9, **FAST)
@@ -458,6 +484,21 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "configuration error: detuning too large: (2 pi detuning)^2 must be finite\n"
         assert not (tmp_path / "inv").exists()
+
+    def test_overflowing_pulse_channels_are_one_configuration_error(self, tmp_path, capsys):
+        # |X + Y| = 0 keeps the amplitude constraint, but (2 pi Omega X)^2 overflows: rejected
+        # where the generator is formed, before numpy could warn or a NaN state name another input
+        pulse = tmp_path / "pulse.csv"
+        pulse.write_text("t_us,X,Y\n0.0,1e200,-1e200\n0.375,1e200,-1e200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["qpt", "--pulse", str(pulse), "--out", str(tmp_path / "chi.json")])
+        assert code == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "configuration error: pulse channels X, Y too large: "
+            "(2 pi Omega X)^2 + (2 pi Omega Y)^2 + (2 pi Delta)^2 must be finite\n"
+        )
+        assert not (tmp_path / "chi.json").exists()
 
     def test_compare_openloop_flow(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"

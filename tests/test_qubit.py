@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,22 @@ class TestEvolveDensity:
         # every propagation passes through total_propagator, so a direct call is checked too
         with pytest.raises(ContractError, match="pulse duration does not match plant duration"):
             total_propagator(PulseWaveform.constant(0.0, 0.0, 0.5), params)
+
+    @pytest.mark.parametrize("rabi, amplitude", [(1.0, 1e200), (1.0, 1e155), (10.0, 1e154)])
+    def test_overflowing_channels_rejected_where_the_generator_is_formed(self, rabi, amplitude):
+        # |X + Y| = 0 keeps the amplitude constraint, but (2 pi Omega X)^2 overflows
+        pulse = PulseWaveform(0.75, np.full(2, amplitude), np.full(2, -amplitude))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ContractError, match=r"^pulse channels X, Y too large"):
+                total_propagator(pulse, PlantParams(rabi, 0.0, 0.75))
+        assert caught == []
+
+    def test_largest_channels_with_a_finite_generator_propagate(self):
+        # (2 pi X)^2 + (2 pi Y)^2 is about 7.9e307 at X = -Y = 1e153: finite, so the pulse propagates as before
+        pulse = PulseWaveform(0.75, np.full(2, 1e153), np.full(2, -1e153))
+        u = total_propagator(pulse, PlantParams(1.0, 0.0, 0.75))
+        assert np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - I2)) < 1e-10
 
     def test_preserves_state_invariants(self):
         rng = np.random.default_rng(7)

@@ -713,7 +713,7 @@ class TestPropagatorReuse:
         # the drive chain hands its scaled, re-clipped channels on as arrays, not as a second PulseWaveform
         rng = np.random.default_rng(2)
         ledger = DcrabLedger(duration=0.25, n_t=300)
-        ledger.active = draw_basis(1, 0.25, rng)
+        ledger.activate(draw_basis(1, 0.25, rng))
         pulse = assemble_pulse(ledger, rng.uniform(-2.0, 2.0, 4))
         built = []
         original = PulseWaveform.__post_init__
