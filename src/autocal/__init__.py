@@ -1,42 +1,3 @@
 """Closed-loop calibration of simulated spin-qubit pulses."""
 
-from .qubit import (
-    ContractError,
-    DensityMatrix,
-    GATE_G,
-    PlantParams,
-    PulseWaveform,
-    evolve_density,
-    pauli_rotation_propagator,
-    population,
-)
-from .plant import PlantInterface, PreparationIndex, SimPlant, SimPlantConfig, run_rabi_scan
-from .tomography import (
-    ChiMatrix,
-    FidelityEstimate,
-    FitFailure,
-    RabiFit,
-    StateEstimate,
-    chi_from_final_states,
-    fit_rabi,
-    gate_fom,
-    mle_project,
-    process_tomography,
-    state_tomography,
-    state_transfer_fom,
-)
-from .dcrab import (
-    BasisTerm,
-    DcrabConfig,
-    DcrabLedger,
-    OptimizationResult,
-    assemble_pulse,
-    draw_basis,
-    evaluate_pulse_open_loop,
-    nelder_mead,
-    run_dcrab,
-)
-from .harness import ScanSpec, ScanResult, run_scan
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

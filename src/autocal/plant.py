@@ -24,7 +24,6 @@ from .qubit import (
     apply_unitary,
     driven_propagator,
     pauli_rotation_propagator,
-    population,
     TWO_PI,
 )
 
@@ -159,8 +158,11 @@ class SimPlant(PlantInterface):
         self._state = DensityMatrix(rotated)
 
     def measure_population(self, which: str) -> float:
-        """Simulation only: one scan point's readout, kept for tests and per-call tracing."""
-        return self._sample(population(self.current_state(), which))
+        """Simulation only: one scan point's readout of the '0' or '-1' population, clamped to [0, 1]; for tests and tracing."""
+        rho = self.current_state()
+        if which not in ("0", "-1"):
+            raise ContractError(f"unknown basis-state selector {which!r}")
+        return self._sample(min(1.0, max(0.0, rho.d if which == "0" else rho.a)))
 
     def rabi_scan(self, axis: str, times: np.ndarray) -> np.ndarray:
         """The scan in closed form: the state is known, so no point needs a replay."""

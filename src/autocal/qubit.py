@@ -252,17 +252,6 @@ class DensityMatrix:
         return _eigen_radius(*(self.matrix - other.matrix).ravel().tolist())
 
 
-def population(rho: DensityMatrix, which: str) -> float:
-    """Population of the selected basis state ('0' or '-1'), clamped to [0, 1]."""
-    if which == "0":
-        p = rho.d
-    elif which == "-1":
-        p = rho.a
-    else:
-        raise ContractError(f"unknown basis-state selector {which!r}")
-    return min(1.0, max(0.0, p))
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
@@ -285,7 +274,12 @@ def driven_propagator(pulse: PulseWaveform, params: PlantParams, gain: float) ->
     """Unitary of ``pulse`` out of a drive chain of amplitude ``gain``: both channels scaled, then re-clipped."""
     if not (math.isfinite(gain) and gain > 0.0):
         raise ContractError("amplitude_scale must be positive and finite")
-    return _channel_propagator(pulse, params, *clip_amplitudes(gain * pulse.x, gain * pulse.y))
+    try:  # a gain that overflows a channel would reach the propagator as inf samples and come out NaN
+        with np.errstate(over="raise"):
+            x, y = clip_amplitudes(gain * pulse.x, gain * pulse.y)
+    except FloatingPointError:
+        raise ContractError("amplitude_scale too large: gain * X and gain * Y must be finite") from None
+    return _channel_propagator(pulse, params, x, y)
 
 
 def _channel_propagator(pulse: PulseWaveform, params: PlantParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:

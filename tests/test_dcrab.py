@@ -20,6 +20,7 @@ from autocal.dcrab import (
     nelder_mead,
     run_dcrab,
 )
+from autocal.harness import params_from_relative
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes
 from autocal.tomography import FidelityEstimate, FitFailure
@@ -802,6 +803,13 @@ class TestOpenLoopEvaluation:
         with pytest.raises(ContractError, match="amplitude_scale must be positive and finite"):
             evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 1.0), amplitude_scale=scale)
 
+    def test_amplitude_scale_that_overflows_the_channels_rejected(self):
+        # X = -Y = 1e200 keeps |X + Y| <= 1, but 1e200 * X is inf: unchecked, the propagator
+        # would turn the inf samples into NaN after numpy warnings and the pulse would score 0
+        pulse = PulseWaveform(0.75, [1e200] * 2, [-1e200] * 2)
+        with pytest.raises(ContractError, match="^amplitude_scale too large"):
+            evaluate_pulse_open_loop(pulse, PlantParams(1.0, 0.0, 0.75), amplitude_scale=1e200)
+
     def test_unknown_kind_rejected(self):
         pulse = PulseWaveform.constant(0.0, 0.0, 1.0)
         with pytest.raises(ContractError):
@@ -836,3 +844,30 @@ class TestOpenLoopEvaluation:
         (driven_x, driven_y), (modelled_x, modelled_y) = propagated
         assert driven_x.tobytes() == modelled_x.tobytes()
         assert driven_y.tobytes() == modelled_y.tobytes()
+
+
+class TestUnitsRelation:
+    """Relation R1, units: Omega and Delta scaled by 2**k and the duration by 2**-k rescale every
+    product exactly, so a whole closed-loop run repeats the 1 MHz run bit for bit."""
+
+    @staticmethod
+    def run(rabi, fom, seed, shots):
+        params = params_from_relative(1.5, 0.7, rabi=rabi)
+        truth = SimPlantConfig(seed=seed)
+        if shots is not None:
+            truth = SimPlantConfig(repetitions=shots, noiseless=False, seed=seed)
+        config = DcrabConfig(superiterations=3 if shots is None else 2, seed=seed, n_t=1000)
+        result = run_dcrab(SimPlant(params, truth), fom, config)
+        return result.fom_trace, result.calibration.omega / rabi
+
+    @pytest.mark.parametrize(
+        "shots, rabis", [(None, (0.5, 2.0, 8.0)), (1000, (0.5, 4.0))], ids=["noiseless", "1e3-shots"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("fom", ["state-transfer", "gate"])
+    def test_scaled_run_repeats_the_unit_run(self, fom, seed, shots, rabis):
+        trace, omega_rel = self.run(1.0, fom, seed, shots)
+        for rabi in rabis:
+            scaled_trace, scaled_omega_rel = self.run(rabi, fom, seed, shots)
+            assert np.array_equal(scaled_trace, trace), rabi
+            assert np.array_equal(scaled_omega_rel, omega_rel), rabi

@@ -500,6 +500,23 @@ class TestCli:
         )
         assert not (tmp_path / "chi.json").exists()
 
+    def test_amp_scale_overflowing_the_channels_is_one_configuration_error(self, tmp_path, capsys):
+        # X = -Y = 1e200 is a valid scan pulse, but --amp-scale 1e200 makes its channels inf:
+        # rejected by the open-loop model, before any closed-loop run or output
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text('{"rabi_frequency": 1.0, "det_rels": [0.5]}')
+        (scan / "pulse_t1.5_d0.5.csv").write_text("t_us,X,Y\n0.0,1e200,-1e200\n0.375,1e200,-1e200\n")
+        table = tmp_path / "compare.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare-openloop", "--scan", str(scan), "--amp-scale", "1e200", "--out", str(table)])
+        assert code == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "configuration error: amplitude_scale too large: gain * X and gain * Y must be finite\n"
+        )
+        assert not table.exists()
+
     def test_compare_openloop_flow(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(
@@ -942,6 +959,20 @@ def test_dcrab_flags_config_fields_and_file_keys_are_one_set():
     assert set(autocal.cli._FILE_KEYS["dcrab"]) == names
 
 
+def in_fresh_interpreter(code: str) -> str:
+    """The stripped stdout of ``code`` run by a new interpreter on this source tree; it must exit 0."""
+    src = str(Path(autocal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_runtime_never_imports_scipy():
     # numpy is the only runtime dependency: importing the package and CLI and
     # running one figure-of-merit evaluation must not load scipy
@@ -955,32 +986,20 @@ plant = SimPlant(PlantParams(1.0, 0.0, 0.5), SimPlantConfig())
 state_transfer_fom(plant, PulseWaveform.constant(1.0, 0.0, 0.5))
 print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(autocal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert in_fresh_interpreter(code) == ""
 
 
 def test_import_does_not_load_multiprocessing():
     # only a scan with more than one worker starts a process pool, so a cold
-    # ``import autocal`` must not pay for multiprocessing and its imports
-    code = "import sys, autocal; print('multiprocessing' in sys.modules)"
-    src = str(Path(autocal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # ``import autocal.cli`` must not pay for multiprocessing and its imports
+    code = "import sys, autocal.cli; print('multiprocessing' in sys.modules)"
+    assert in_fresh_interpreter(code) == "False"
+
+
+def test_package_binds_only_its_version():
+    # each public name has one import path, its module: ``import autocal`` binds no other name
+    code = "import autocal; print([n for n in vars(autocal) if not n.startswith('_')])"
+    assert in_fresh_interpreter(code) == "[]"
 
 
 def load_benchmark_tracing(monkeypatch):

@@ -140,6 +140,14 @@ class TestApply:
         plant.apply(PulseWaveform.constant(1.0, 0.0, 0.5))
         assert plant.measure_population("-1") == pytest.approx(1.0, abs=1e-9)
 
+    def test_amplitude_scale_that_overflows_the_channels_rejected(self):
+        # the error names the gain, not the non-finite state that inf channel samples would leave
+        plant = SimPlant(PlantParams(1.0, 0.0, 0.75), SimPlantConfig(amplitude_scale=1e200))
+        plant.prepare(PreparationIndex.PSI_1)
+        with pytest.raises(ContractError, match="^amplitude_scale too large"):
+            plant.apply(PulseWaveform(0.75, [1e200] * 2, [-1e200] * 2))
+        assert plant.current_state() is PreparationIndex.PSI_1.density_matrix()
+
     def test_true_params_shift_only_the_detuning(self):
         plant = SimPlant(PlantParams(1.3, 0.4, 0.6), SimPlantConfig(detuning_offset=0.25))
         assert plant.true_params == PlantParams(1.3, 0.4 + 0.25, 0.6)  # dataclass equality: field by field

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import autocal.qubit
+from autocal.plant import SimPlant, SimPlantConfig
 from autocal.qubit import (
     _cayley_klein,
     _su2,
@@ -20,7 +21,6 @@ from autocal.qubit import (
     driven_propagator,
     evolve_density,
     pauli_rotation_propagator,
-    population,
     total_propagator,
     TWO_PI,
 )
@@ -486,23 +486,37 @@ class TestCayleyKleinParts:
 
 
 class TestPopulation:
+    """``SimPlant.measure_population`` on a noiseless plant reads the set state's population."""
+
+    @staticmethod
+    def population(rho, which):
+        plant = SimPlant(PlantParams(1.0, 0.0, 0.5), SimPlantConfig())
+        plant.set_state(rho)
+        return plant.measure_population(which)
+
     def test_basis_states(self):
-        assert population(DensityMatrix.pure_zero(), "0") == 1.0
-        assert population(DensityMatrix.pure_zero(), "-1") == 0.0
+        assert self.population(DensityMatrix.pure_zero(), "0") == 1.0
+        assert self.population(DensityMatrix.pure_zero(), "-1") == 0.0
         mixed = DensityMatrix.from_entries(a=0.5, b=0.0, c=0.0, d=0.5)
-        assert population(mixed, "0") == 0.5
-        assert population(mixed, "-1") == 0.5
+        assert self.population(mixed, "0") == 0.5
+        assert self.population(mixed, "-1") == 0.5
 
     def test_after_pi_pulse(self):
         params = PlantParams(1.0, 0.0, 0.5)
         rho = evolve_density(
             DensityMatrix.pure_zero(), PulseWaveform.constant(1.0, 0.0, 0.5), params
         )
-        assert population(rho, "-1") == pytest.approx(1.0, abs=1e-9)
+        assert self.population(rho, "-1") == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_selector(self):
         with pytest.raises(ContractError):
-            population(DensityMatrix.pure_zero(), "up")
+            self.population(DensityMatrix.pure_zero(), "up")
+
+    def test_clamped_to_unit_interval(self):
+        # a valid state may hold a diagonal entry a rounding error outside [0, 1]
+        rho = DensityMatrix(np.diag([1.0 + 4e-11, -4e-11]))
+        assert self.population(rho, "0") == 1.0
+        assert self.population(rho, "-1") == 0.0
 
 
 def test_plant_params_validation():
