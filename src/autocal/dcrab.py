@@ -17,13 +17,12 @@ import numpy as np
 from .plant import PlantInterface, PreparationIndex
 from .qubit import (
     ContractError,
-    GATE_G,
     PlantParams,
     PulseWaveform,
     clip_amplitudes,
     driven_propagator,
 )
-from .tomography import FidelityEstimate, FitFailure, RabiFit, calibrate_scan, gate_fom, state_transfer_fom
+from .tomography import G_OUTPUTS_CONJ, FidelityEstimate, FitFailure, RabiFit, calibrate_scan, gate_fom, state_transfer_fom
 
 log = logging.getLogger(__name__)
 
@@ -274,7 +273,7 @@ def make_fom(kind: str, omega: float):
     """
     if _check_kind(kind) == "state-transfer":
         return lambda plant, pulse: state_transfer_fom(plant, pulse, omega=omega)
-    return lambda plant, pulse: gate_fom(plant, pulse, GATE_G, omega=omega)
+    return lambda plant, pulse: gate_fom(plant, pulse, omega=omega)
 
 
 def _check_kind(kind: str) -> str:
@@ -405,15 +404,13 @@ def evaluate_pulse_open_loop(
     Used for the open-loop comparison: the pulse is judged against the given
     (possibly perturbed) parameters without any feedback, after the drive
     chain of ``SimPlant.apply`` at gain ``amplitude_scale``.  The gate FoM is
-    ``gate_fom``'s F at the exact outputs: the mean of |<G psi|U psi>|^2.
+    ``gate_fom``'s F at the exact outputs, against the same ideal outputs
+    ``G_OUTPUTS``: the mean of |<G psi|U psi>|^2.
     """
     u = driven_propagator(pulse, params, amplitude_scale)
     if _check_kind(fom) == "state-transfer":
         value = abs(u[1, 0]) ** 2
     else:
-        probs = []
-        for idx in PreparationIndex:
-            psi = idx.state_vector()
-            probs.append(abs(psi.conj() @ GATE_G.conj().T @ u @ psi) ** 2)
+        probs = [abs(phi_conj @ u @ idx.state_vector()) ** 2 for phi_conj, idx in zip(G_OUTPUTS_CONJ, PreparationIndex)]
         value = float(np.mean(probs))
     return FidelityEstimate(value=value, sigma=0.0)

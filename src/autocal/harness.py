@@ -79,14 +79,19 @@ def load_pulse_csv(path: Path | str) -> PulseWaveform:
         raise ContractError(f"pulse CSV {path} needs at least two rows of three numbers")
     data = np.array(rows)
     t = data[:, 0]
-    if not np.all(np.diff(t) > 0.0):
-        raise ContractError("pulse CSV times must be strictly increasing")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
-        raise ContractError("pulse CSV requires a uniform time grid")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing step fails a check below
+        steps = np.diff(t)
+    if not np.all(steps > 0.0):
+        raise ContractError(f"pulse CSV {path}: times must be strictly increasing")
+    dt = steps[0]
+    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
+        raise ContractError(f"pulse CSV {path} requires a uniform time grid")
     if abs(t[0]) > 1e-12 + 1e-9 * dt:  # the grid check's tolerance, for the step from 0
-        raise ContractError(f"pulse CSV times must start at 0, not {t[0]!r}")
-    return PulseWaveform(float(t[-1] + dt), data[:, 1], data[:, 2])
+        raise ContractError(f"pulse CSV {path}: times must start at 0, not {float(t[0])!r}")
+    duration = float(t[-1]) + float(dt)  # Python floats: an overflow gives inf, and numpy does not warn
+    if not math.isfinite(duration):
+        raise ContractError(f"pulse CSV {path}: times and the duration they span must be finite")
+    return PulseWaveform(duration, data[:, 1], data[:, 2])
 
 
 # ---------------------------------------------------------------------------

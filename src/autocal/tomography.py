@@ -18,6 +18,7 @@ from .plant import PlantInterface, PreparationIndex, default_rabi_times, run_rab
 from .qubit import (
     ContractError,
     DensityMatrix,
+    GATE_G,
     IDENTITY,
     PulseWaveform,
     SIGMA_X,
@@ -323,6 +324,13 @@ def calibrate_scan(plant: PlantInterface) -> RabiFit:
     return fit
 
 
+#: G's ideal outputs G psi_i, one row per ``PreparationIndex``, and their conjugates: the one target
+#: of the measured (``gate_fom``) and the exact (``dcrab.evaluate_pulse_open_loop``) gate figure of merit.
+G_OUTPUTS = np.array([GATE_G @ idx.state_vector() for idx in PreparationIndex])
+G_OUTPUTS_CONJ = G_OUTPUTS.conj()
+G_OUTPUTS.flags.writeable = G_OUTPUTS_CONJ.flags.writeable = False
+
+
 def state_transfer_fom(
     plant: PlantInterface,
     pulse: PulseWaveform,
@@ -331,13 +339,6 @@ def state_transfer_fom(
     """F = reconstructed |-1> population after driving |0> with ``pulse``, fitted at ``omega`` if given."""
     (est,) = _tomograph_preparations(plant, pulse, (PreparationIndex.PSI_1,), omega=omega)
     return FidelityEstimate(value=est.rho.a, sigma=est.sigma)
-
-
-def _check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - IDENTITY)) > 1e-9:
-        raise ContractError("ideal gate must be a 2x2 unitary")
-    return u
 
 
 def _tomograph_preparations(
@@ -367,13 +368,8 @@ def _tomograph_preparations(
     return [mle_project(fit) for fit in fits]
 
 
-def gate_fom(
-    plant: PlantInterface,
-    pulse: PulseWaveform,
-    ideal_gate: np.ndarray,
-    omega: float | None = None,
-) -> FidelityEstimate:
-    """Mean overlap F = (1/4) sum_i <G psi_i| rho_i |G psi_i> of the four outputs with the ideal gate's.
+def gate_fom(plant: PlantInterface, pulse: PulseWaveform, omega: float | None = None) -> FidelityEstimate:
+    """Mean overlap F = (1/4) sum_i <G psi_i| rho_i |G psi_i> of the four outputs with G's ideal outputs.
 
     Each input psi_i is prepared and driven with the candidate pulse, and its
     output rho_i is reconstructed by tomography, fitted at ``omega`` if given;
@@ -381,10 +377,8 @@ def gate_fom(
     ``sigma`` is the mean of the four per-state sigmas, each a distance from
     purity (see ``mle_project``), not a standard error of F.
     """
-    gate = _check_unitary(ideal_gate)
     estimates = _tomograph_preparations(plant, pulse, tuple(PreparationIndex), omega)
-    ideals = (gate @ idx.state_vector() for idx in PreparationIndex)
-    values = [float(np.real(phi.conj() @ est.rho.matrix @ phi)) for phi, est in zip(ideals, estimates)]
+    values = [float(np.real(conj @ est.rho.matrix @ phi)) for conj, phi, est in zip(G_OUTPUTS_CONJ, G_OUTPUTS, estimates)]
     # np.mean's reduction and division, without its wrapper; Python's sum() rounds differently from 3.12 on
     sigma = np.add.reduce(np.array([est.sigma for est in estimates])) / 4
     return FidelityEstimate(value=float(np.add.reduce(np.array(values)) / 4), sigma=float(sigma))
@@ -459,8 +453,10 @@ def chi_construction_discrepancy() -> float:
 
 
 def analytic_chi_of_unitary(u: np.ndarray) -> ChiMatrix:
-    """chi_mn = alpha_m alpha_n* for U = sum_m alpha_m e_m (exact oracle input)."""
-    u = _check_unitary(u)
+    """chi_mn = alpha_m alpha_n* for U = sum_m alpha_m e_m (exact oracle input); U must be unitary to 1e-9."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - IDENTITY)) > 1e-9:
+        raise ContractError("ideal gate must be a 2x2 unitary")
     alpha = np.array(
         [np.trace(e.conj().T @ u) / np.trace(e.conj().T @ e) for e in CHI_BASIS]
     )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from autocal.dcrab import (
 from autocal.harness import params_from_relative
 from autocal.plant import PreparationIndex, SimPlant, SimPlantConfig
 from autocal.qubit import ContractError, PlantParams, PulseWaveform, clip_amplitudes
-from autocal.tomography import FidelityEstimate, FitFailure
+from autocal.tomography import FidelityEstimate, FitFailure, state_transfer_fom
 
 
 def make_plant(t_rel=1.5, det_rel=0.0):
@@ -871,3 +872,36 @@ class TestUnitsRelation:
             scaled_trace, scaled_omega_rel = self.run(rabi, fom, seed, shots)
             assert np.array_equal(scaled_trace, trace), rabi
             assert np.array_equal(scaled_omega_rel, omega_rel), rabi
+
+
+class TestMirrorAndReversalRelations:
+    """Relations R2 and R3 of state transfer: F of (X, Y) at -Delta equals F of (Y, X) at +Delta
+    (R2, from the anti-unitary R_z(pi/2) K, which swaps S_x and S_y, and R3) and F of the
+    time-reversed samples at +Delta (R3, from K R_x(pi)).  Both keep |X + Y|, so every transformed
+    pulse is valid.  They change the gate's target and preparations, so the gate has R1 only."""
+
+    MIRROR = staticmethod(lambda x, y: (y, x))
+    REVERSE = staticmethod(lambda x, y: (x[::-1], y[::-1]))
+
+    @staticmethod
+    def cases():
+        """200 random 2-component DCRAB pulses at n_t 1000: T / T_pi in U(0.5, 3), Delta / Omega in U(0.1, 3)."""
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            params = params_from_relative(rng.uniform(0.5, 3.0), rng.uniform(0.1, 3.0))
+            ledger = DcrabLedger(params.duration, 1000)
+            ledger.activate(draw_basis(2, params.duration, rng))
+            yield params, assemble_pulse(ledger, rng.uniform(-2.0, 2.0, 8))
+
+    @pytest.mark.parametrize("relation", [MIRROR, REVERSE], ids=["R2-mirror", "R3-reversal"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["measured", "exact"])
+    def test_minus_detuning_repeats_the_transformed_pulse(self, exact, relation):
+        def fom(params, x, y):
+            pulse = PulseWaveform(params.duration, x, y)
+            if exact:
+                return evaluate_pulse_open_loop(pulse, params).value
+            return state_transfer_fom(SimPlant(params, SimPlantConfig()), pulse, omega=params.rabi_frequency).value
+
+        for i, (params, pulse) in enumerate(self.cases()):
+            minus = fom(replace(params, detuning=-params.detuning), pulse.x, pulse.y)
+            assert abs(fom(params, *relation(pulse.x, pulse.y)) - minus) <= 1e-14, i

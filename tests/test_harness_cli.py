@@ -500,6 +500,24 @@ class TestCli:
         )
         assert not (tmp_path / "chi.json").exists()
 
+    @pytest.mark.parametrize("last_time", ["1e308", "inf"])
+    @pytest.mark.parametrize("command", ["qpt", "compare-openloop"])
+    def test_non_finite_pulse_time_or_duration_is_one_line_naming_the_file(self, tmp_path, capsys, command, last_time):
+        # t[-1] + dt overflows at 1e308; both are rejected by the loader, before numpy could warn
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        (scan / "manifest.json").write_text('{"rabi_frequency": 1.0, "det_rels": [0.5]}')
+        pulse = scan / "pulse_t1.5_d0.5.csv"
+        pulse.write_text(f"t_us,X,Y\n0,0,0\n{last_time},0,0\n")
+        args = ["--pulse", str(pulse)] if command == "qpt" else ["--scan", str(scan)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *args, "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and caught == []
+        assert err.count("\n") == 1 and err.startswith("configuration error: ") and str(pulse) in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_amp_scale_overflowing_the_channels_is_one_configuration_error(self, tmp_path, capsys):
         # X = -Y = 1e200 is a valid scan pulse, but --amp-scale 1e200 makes its channels inf:
         # rejected by the open-loop model, before any closed-loop run or output

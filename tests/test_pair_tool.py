@@ -61,3 +61,24 @@ def test_seed_lists_and_ranges():
 def test_directions_come_from_benchmark_json():
     directions = pair.declared_directions()
     assert directions["eval_ms"] == "lower" and directions["best_fidelity"] == "higher"
+
+
+def test_cold_start_block_on_canned_seconds():
+    seconds = {"parent": [0.12, 0.10, 0.11, 0.13], "change": [0.11, 0.12, 0.10, 0.12]}
+    block = pair.summarize_cold_starts(seconds)
+    assert block["parent_median"] == pytest.approx(0.115)
+    assert block["change_median"] == pytest.approx(0.115)
+    assert block["parent_quartiles"] == pytest.approx([0.1075, 0.1225])  # numpy.percentile(..., [25, 75])
+    assert block["change_quartiles"] == pytest.approx([0.1075, 0.12])
+    assert block["change_wins"] == 3  # lower is better; the second pair is a loss
+    assert block["pairs"] == 4 and block["seconds"] == seconds
+
+
+def test_cold_starts_alternate_which_side_starts_first(monkeypatch):
+    # a canned probe: no interpreter is started
+    order = []
+    monkeypatch.setattr(pair, "cold_start", lambda root: order.append(root) or 0.1 * len(order))
+    seconds = pair.time_cold_starts({"parent": "P", "change": "C"})
+    assert order[:6] == ["P", "C", "C", "P", "P", "C"] and len(order) == 2 * pair.COLD_STARTS
+    assert seconds["parent"][:3] == pytest.approx([0.1, 0.4, 0.5])
+    assert seconds["change"][:3] == pytest.approx([0.2, 0.3, 0.6])

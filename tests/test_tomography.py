@@ -27,6 +27,8 @@ from autocal.tomography import (
     ChiMatrix,
     FidelityEstimate,
     FitFailure,
+    G_OUTPUTS,
+    G_OUTPUTS_CONJ,
     RabiFit,
     analytic_chi_of_unitary,
     calibrate_scan,
@@ -523,7 +525,7 @@ def exact_g_pulse(n_t=1000):
 class TestGateFom:
     def test_exact_g_pulse(self):
         plant = make_plant(duration=0.25)
-        fom = gate_fom(plant, exact_g_pulse(), GATE_G)
+        fom = gate_fom(plant, exact_g_pulse())
         assert fom.value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_pulse_against_g(self):
@@ -537,26 +539,15 @@ class TestGateFom:
         )
         assert oracle == pytest.approx(0.625, abs=1e-12)
         plant = make_plant(duration=0.25)
-        fom = gate_fom(plant, PulseWaveform.constant(0.0, 0.0, 0.25), GATE_G)
+        fom = gate_fom(plant, PulseWaveform.constant(0.0, 0.0, 0.25))
         assert fom.value == pytest.approx(0.625, abs=1e-6)
 
-    def test_global_phase_invariance(self):
-        plant = make_plant(duration=0.25)
-        baseline = gate_fom(plant, exact_g_pulse(), GATE_G).value
-        for phi in (0.3, 1.2, math.pi):
-            rotated = gate_fom(plant, exact_g_pulse(), np.exp(1j * phi) * GATE_G).value
-            assert rotated == pytest.approx(baseline, abs=1e-9)
-
-    def test_non_unitary_gate_rejected(self):
-        plant = make_plant(duration=0.25)
-        with pytest.raises(ContractError):
-            gate_fom(plant, exact_g_pulse(), np.array([[1.0, 0.0], [0.0, 0.5]]))
-
-    def test_unitarity_tolerance_is_1e_9(self):
-        # U^+ U is 2e-6 off the identity for a gate scaled by 1 + 1e-6, and 2e-12 off for 1 + 1e-12
-        with pytest.raises(ContractError, match="^ideal gate must be a 2x2 unitary$"):
-            gate_fom(make_plant(duration=0.25), exact_g_pulse(), (1.0 + 1e-6) * GATE_G)
-        assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), (1.0 + 1e-12) * GATE_G).value > 0.99
+    def test_ideal_outputs_are_one_read_only_table(self):
+        for idx, phi, conj in zip(PreparationIndex, G_OUTPUTS, G_OUTPUTS_CONJ):
+            assert np.array_equal(phi, GATE_G @ idx.state_vector()) and np.array_equal(conj, phi.conj())
+        for table in (G_OUTPUTS, G_OUTPUTS_CONJ):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
 
 def test_fidelity_estimate_rejects_negative_sigma():
@@ -623,6 +614,17 @@ class TestChiMatrix:
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_non_unitary_gate_rejected(self):
+        with pytest.raises(ContractError):
+            analytic_chi_of_unitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+    def test_unitarity_tolerance_is_1e_9(self):
+        # U^+ U is 2e-6 off the identity for a gate scaled by 1 + 1e-6, and 2e-12 off for 1 + 1e-12
+        with pytest.raises(ContractError, match="^ideal gate must be a 2x2 unitary$"):
+            analytic_chi_of_unitary((1.0 + 1e-6) * GATE_G)
+        chi = analytic_chi_of_unitary((1.0 + 1e-12) * GATE_G).matrix
+        assert np.max(np.abs(chi - analytic_chi_of_unitary(GATE_G).matrix)) < 1e-9
+
     def test_published_variant_discrepancy_surfaced(self):
         # the as-published construction fails the identity-process check;
         # the deviation is reported, not silently patched
@@ -678,7 +680,7 @@ def count_propagations(monkeypatch):
 class TestPropagatorReuse:
     def test_gate_fom_propagates_once(self, monkeypatch):
         calls = count_propagations(monkeypatch)
-        gate_fom(make_plant(duration=0.25, noiseless=False, seed=5), exact_g_pulse(), GATE_G)
+        gate_fom(make_plant(duration=0.25, noiseless=False, seed=5), exact_g_pulse())
         assert len(calls) == 1
 
     def test_process_tomography_propagates_once(self, monkeypatch):
@@ -705,7 +707,7 @@ class TestPropagatorReuse:
             detuning_offset=0.1, amplitude_scale=1.05, noiseless=noiseless, seed=11
         )
         reused, fresh = SimPlant(params, config), FreshCopyPlant(params, config)
-        assert gate_fom(reused, pulse, GATE_G) == gate_fom(fresh, pulse, GATE_G)
+        assert gate_fom(reused, pulse) == gate_fom(fresh, pulse)
         assert reused._rng.bit_generator.state == fresh._rng.bit_generator.state
 
     @pytest.mark.parametrize("gate", [False, True], ids=["state-transfer", "gate"])
@@ -719,7 +721,7 @@ class TestPropagatorReuse:
         original = PulseWaveform.__post_init__
         monkeypatch.setattr(PulseWaveform, "__post_init__", lambda self: built.append(original(self)))
         plant = make_plant(duration=0.25, amplitude_scale=1.1)
-        estimate = gate_fom(plant, pulse, GATE_G, omega=OMEGA) if gate else state_transfer_fom(plant, pulse, OMEGA)
+        estimate = gate_fom(plant, pulse, omega=OMEGA) if gate else state_transfer_fom(plant, pulse, OMEGA)
         assert 0.0 <= estimate.value <= 1.0
         assert built == []
 
@@ -908,9 +910,9 @@ def per_preparation_estimates(plant, pulse, omega=None):
     return estimates
 
 
-def per_preparation_gate_fom(plant, pulse, ideal_gate):
-    """The mean overlap <G psi| rho |G psi> of the per-preparation path's outputs with the ideal outputs."""
-    estimates = per_preparation_estimates(plant, pulse)
+def per_preparation_gate_fom(plant, pulse, ideal_gate, omega=None):
+    """Mean overlap <U psi| rho |U psi> of the per-preparation path's outputs with U = ``ideal_gate``, fit at ``omega``."""
+    estimates = per_preparation_estimates(plant, pulse, omega)
     ideals = [np.asarray(ideal_gate) @ idx.state_vector() for idx in PreparationIndex]
     values = [float(np.real(phi.conj() @ est.rho.matrix @ phi)) for phi, est in zip(ideals, estimates)]
     sigma = float(np.mean([est.sigma for est in estimates]))
@@ -929,7 +931,7 @@ class TestBatchedPreparations:
         batched, reference = SimPlant(params, config), SimPlant(params, config)
         for _ in range(3):
             pulse = PulseWaveform(0.75, rng.uniform(-0.5, 0.5, n_t), rng.uniform(-0.5, 0.5, n_t))
-            got = gate_fom(batched, pulse, GATE_G)
+            got = gate_fom(batched, pulse)
             want = per_preparation_gate_fom(reference, pulse, GATE_G)
             assert (repr(got.value), repr(got.sigma)) == (repr(want.value), repr(want.sigma))
             chi = process_tomography(batched, pulse)
@@ -962,8 +964,9 @@ class TestBatchedPreparations:
 class UndoingPlant(SimPlant):
     """The inverse route to the gate FoM: after every pulse, the exact inverse of ``gate`` acts on the state.
 
-    ``gate_fom`` against the identity on this plant scans G^dagger rho G and scores its return
-    probability <psi| G^dagger rho G |psi>, as an estimator that undoes G before tomography does.
+    Scored against the identity (``per_preparation_gate_fom``), this plant's scans read G^dagger rho G
+    and score its return probability <psi| G^dagger rho G |psi>, as an estimator that undoes G before
+    tomography does.
     """
 
     def __init__(self, nominal, config, gate):
@@ -989,8 +992,8 @@ class TestGateFomAgainstInverseRoute:
                 config = SimPlantConfig(noiseless=False, repetitions=shots, seed=seed)
                 plant, undoing = SimPlant(params, config), UndoingPlant(params, config, GATE_G)
                 for pulse, f in zip(pulses, exact):
-                    overlap.append(gate_fom(plant, pulse, GATE_G, omega=OMEGA).value - f)
-                    inverse.append(gate_fom(undoing, pulse, IDENTITY, omega=OMEGA).value - f)
+                    overlap.append(gate_fom(plant, pulse, omega=OMEGA).value - f)
+                    inverse.append(per_preparation_gate_fom(undoing, pulse, IDENTITY, omega=OMEGA).value - f)
             assert 0.85 <= rms(overlap) / rms(inverse) <= 1.15
             for errors in (overlap, inverse):
                 assert abs(np.mean(errors)) <= 3.0 * np.std(errors, ddof=1) / math.sqrt(len(errors))
@@ -1022,7 +1025,7 @@ class TestBatchedFailure:
         plant = BadPreparationPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False))
         plant.junk_at, plant.nan_at = PreparationIndex.PSI_2, PreparationIndex.PSI_4
         with pytest.raises(FitFailure) as err:
-            gate_fom(plant, exact_g_pulse(), GATE_G)
+            gate_fom(plant, exact_g_pulse())
         assert str(err.value).startswith("preparation PSI_2: Rabi fit diverged")
         assert err.value.residual > 0.15
 
@@ -1065,7 +1068,7 @@ class TestScanContract:
         plant = ReshapedScanPlant(reshape)
         with pytest.raises(ContractError, match="rabi_scan must return"):
             if gate:
-                gate_fom(plant, exact_g_pulse(), GATE_G)
+                gate_fom(plant, exact_g_pulse())
             else:
                 state_transfer_fom(plant, exact_g_pulse())
 
@@ -1163,7 +1166,7 @@ class TestKnownFrequencyFit:
         pulse = PulseWaveform.constant(1.0, 0.0, 0.5, 400)
         expected = 0.5 * math.sin(math.pi * math.sqrt(2.0) * 0.5) ** 2
         assert state_transfer_fom(state_plant, pulse, omega=OMEGA).value == pytest.approx(expected, abs=1e-12)
-        assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), GATE_G, omega=OMEGA).value == pytest.approx(
+        assert gate_fom(make_plant(duration=0.25), exact_g_pulse(), omega=OMEGA).value == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -1174,7 +1177,7 @@ class TestKnownFrequencyFit:
         plant = CountingPlant(PlantParams(OMEGA, 0.0, 0.25), SimPlantConfig(noiseless=False, seed=1))
         with pytest.raises(ContractError, match="^omega must be positive and finite$"):
             if kind == "gate":
-                gate_fom(plant, exact_g_pulse(), GATE_G, omega=omega)
+                gate_fom(plant, exact_g_pulse(), omega=omega)
             else:
                 state_transfer_fom(plant, exact_g_pulse(), omega=omega)
         assert plant.prepares == plant.scans == 0

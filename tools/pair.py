@@ -10,13 +10,19 @@ parent goes first in even pairs and the change in odd ones, so that a slow
 spell of the machine falls on both sides alike.  Each run's last line, the
 JSON result, is kept.
 
-The output file holds what, command, parent, machine, summary and runs, and is
-rewritten after every pair, so an interrupted session keeps the pairs it ran.
-The summary gives, per workload and metric, each side's median and quartiles
-and the pairs the change wins (by the direction BENCHMARK.json declares), and
-for best_fidelity the pairs whose values are identical.  Exit status: 0 when
-every run read correct, 1 when one did not or a run failed, 2 when REV cannot
-be extracted.
+After the pairs it times ``COLD_STARTS`` alternating cold starts of each side's
+``perfbench/setup_probe.py`` on that side's ``src/``, each as the probe times
+itself inside its fresh interpreter, because the five cold starts inside one
+benchmark run spread more than the effects they should show.
+
+The output file holds what, command, parent, machine, summary, setup_s and
+runs, and is rewritten after every pair, so an interrupted session keeps the
+pairs it ran.  The summary gives, per workload and metric, each side's median
+and quartiles and the pairs the change wins (by the direction BENCHMARK.json
+declares), and for best_fidelity the pairs whose values are identical.
+setup_s gives the same for the cold starts (lower is better), with their
+seconds.  Exit status: 0 when every run read correct, 1 when one did not or a
+run or cold start failed, 2 when REV cannot be extracted.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds}"
+COLD_STARTS = 40  # per side, alternating which side starts first
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -100,6 +107,37 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(lines[-1]), machine
 
 
+def cold_start(root: Path) -> float:
+    """Seconds of one cold start of the tree at ``root``, as its ``perfbench/setup_probe.py`` times it."""
+    argv = [sys.executable, str(root / "perfbench" / "setup_probe.py"), str(root / "src")]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root} cold start: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return float(lines[-1])
+
+
+def time_cold_starts(roots: dict[str, Path]) -> dict[str, list[float]]:
+    """``COLD_STARTS`` cold starts per side, in pairs; the parent starts first in even pairs, the change in odd ones."""
+    seconds: dict[str, list[float]] = {side: [] for side in SIDES}
+    for index in range(COLD_STARTS):
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            seconds[side].append(cold_start(roots[side]))
+    return seconds
+
+
+def summarize_cold_starts(seconds: dict[str, list[float]]) -> dict:
+    """Each side's median and quartiles of its cold starts, and the pairs the change wins (lower is better)."""
+    block = {}
+    for side in SIDES:
+        block[f"{side}_median"] = statistics.median(seconds[side])
+        block[f"{side}_quartiles"] = quartiles(seconds[side])
+    block["change_wins"] = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
+    block["pairs"] = len(seconds["parent"])
+    block["seconds"] = seconds
+    return block
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision of the parent side")
@@ -118,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": parent.stdout.strip() or args.rev,
         "machine": None,
         "summary": {},
+        "setup_s": None,
         "runs": [],
     }
     directions = declared_directions()
@@ -143,12 +182,21 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: eval_ms {ms:.4f}, correct {result['correct']}", flush=True)
                 document["summary"] = summarize(document["runs"], directions)
                 args.out.write_text(json.dumps(document, indent=1) + "\n")
+        try:
+            document["setup_s"] = summarize_cold_starts(time_cold_starts(roots))
+        except RuntimeError as err:
+            print(f"run failed: {err}", file=sys.stderr)
+            return 1
+        args.out.write_text(json.dumps(document, indent=1) + "\n")
     correct = all(entry["all_correct"] for entry in document["summary"].values())
     for workload, entry in document["summary"].items():
         ms = entry["eval_ms"]
         print(f"{workload}: eval_ms {ms['parent_median']:.4f} -> {ms['change_median']:.4f} ms, "
               f"change wins {ms['change_wins']} of {ms['pairs']}; best_fidelity identical in "
               f"{entry['best_fidelity']['identical_pairs']} of {ms['pairs']}")
+    setup = document["setup_s"]
+    print(f"setup_s: {setup['parent_median']:.4f} -> {setup['change_median']:.4f} s, "
+          f"change wins {setup['change_wins']} of {setup['pairs']} cold starts")
     return 0 if correct else 1
 
 
